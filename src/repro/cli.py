@@ -105,13 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--sim-backend",
-        choices=["vectorized", "compiled", "reference"],
+        choices=["vectorized", "reference"],
         default=None,
         help="simulation kernel for the sim/adaptive/faults experiments "
-        "(default: vectorized; all produce identical results for the "
-        "same seed — 'compiled' routes the cycle loop through jitted "
-        "kernels when numba is importable and falls back to the NumPy "
-        "twins otherwise, 'reference' runs the per-packet loop)",
+        "(default: vectorized; both produce identical results for the "
+        "same seed — 'reference' runs the per-packet loop)",
     )
     run_p.add_argument(
         "--seeds",

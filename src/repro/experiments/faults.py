@@ -13,15 +13,18 @@ the previous one) it reports, per failure count and per algorithm:
   uniform traffic, from the packet simulator on the degraded network.
 
 Rerouting changes each fault prefix's path distribution (that load
-concentration on the detour links is the thing being measured), so the
-prefixes cannot share one compiled path table — each ``(failures,
-algorithm)`` case keeps its own rerouted algorithm.  Within a case,
-though, the bracket rides the replica-batched prober: every refinement
-round runs its interior probe rates × the ``--seeds`` ensemble as one
-kernel launch over one compiled table (cycle-0 ``fault_schedule``
-kills were tried instead — one launch for the whole sweep — but dead
-channels *shed* load as ``lost`` packets rather than concentrating it,
-so every bracket degenerated to the stable ``[1, 1]``).
+concentration on the detour links is the thing being measured), so
+every ``(failures, algorithm)`` case keeps its own rerouted algorithm
+and its own compiled path table.  The cases still share kernel
+launches: all brackets refine together through
+:func:`repro.sim.saturation_throughput_batch`, whose every refinement
+round runs the pending probe rates of every unfinished case × the
+``--seeds`` ensemble as one launch over the stacked tables, each
+replica routing on its own case's table and degraded channel set.
+(Cycle-0 ``fault_schedule`` kills on one shared table were tried
+instead, but dead channels *shed* load as ``lost`` packets rather than
+concentrating it, so every bracket degenerated to the stable
+``[1, 1]``.)
 
 Worst-case evaluations run as ``fault_wc`` tasks through the shared
 :class:`~repro.experiments.engine.Engine`, so they parallelize across
@@ -48,7 +51,7 @@ from repro.experiments.engine import (
 )
 from repro.faults import FaultSet, degrade, degrade_routing, random_faults
 from repro.routing import IVAL, VAL, DimensionOrderRouting
-from repro.sim import saturation_throughput
+from repro.sim import saturation_throughput_batch
 from repro.topology.symmetry import TranslationGroup
 from repro.topology.torus import Torus
 from repro.traffic import uniform
@@ -150,12 +153,40 @@ def run(
         seed_list = (
             None if seeds is None else tuple(seed + i for i in range(seeds))
         )
+        # Saturation brackets: one pooled prober call for every
+        # connected case, each on its own rerouted algorithm.
+        cases, case_rows = [], []
+        for i, (task, result) in enumerate(zip(tasks, wc_results)):
+            if not result.doc.get("disconnected"):
+                degraded = degrade(torus, FaultSet(channels=task.faults))
+                routing = degrade_routing(
+                    bases[task.algorithm], degraded, mode=reroute
+                )
+                cases.append(((), (), routing, traffic))
+                case_rows.append(i)
+        ests = dict(
+            zip(
+                case_rows,
+                saturation_throughput_batch(
+                    cases=cases,
+                    cycles=cycles,
+                    warmup=cycles // 3,
+                    iterations=iterations,
+                    seed=seed,
+                    seeds=seed_list,
+                    backend=sim_backend,
+                ),
+            )
+        )
+
         rows = []
-        for task, result in zip(tasks, wc_results):
+        for i, (task, result) in enumerate(zip(tasks, wc_results)):
             f = len(task.faults)
             alg = task.algorithm
             disconnected = bool(result.doc.get("disconnected"))
             theta_wc = 0.0 if disconnected else 1.0 / result.load
+            est = ests.get(i)
+            sat_lo, sat_hi = (0.0, 0.0) if est is None else (est.lower, est.upper)
             with obs.span(
                 "faults.case",
                 failures=f,
@@ -164,26 +195,6 @@ def run(
                 theta_wc=float(theta_wc),
                 disconnected=disconnected,
             ) as sp:
-                if disconnected:
-                    sat_lo = sat_hi = 0.0
-                else:
-                    degraded = degrade(
-                        torus, FaultSet(channels=task.faults)
-                    )
-                    routing = degrade_routing(
-                        bases[alg], degraded, mode=reroute
-                    )
-                    est = saturation_throughput(
-                        routing,
-                        traffic,
-                        cycles=cycles,
-                        warmup=cycles // 3,
-                        iterations=iterations,
-                        seed=seed,
-                        seeds=seed_list,
-                        backend=sim_backend,
-                    )
-                    sat_lo, sat_hi = est.lower, est.upper
                 sp.set(sat_lo=float(sat_lo), sat_hi=float(sat_hi))
             obs.metric_count("faults.cases", algorithm=alg, reroute=reroute)
             rows.append((f, alg, float(theta_wc), float(sat_lo), float(sat_hi)))

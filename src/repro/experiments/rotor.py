@@ -15,11 +15,11 @@ per phase count and per oblivious scheme (VLB-on-rotor, ORN):
 
 Each scheme's routing depends only on the (deterministically
 constructed) complete base digraph, not on the phase count, so one
-algorithm object serves every ``P`` and the whole phase sweep runs
-through :func:`repro.sim.saturation_throughput_batch`: per refinement
-round, every phase count's probes (× the seed ensemble) batch into one
-replica launch, each replica carrying its own per-phase
-``link_schedule``.
+algorithm object serves every ``P`` and the whole sweep runs through
+one :func:`repro.sim.saturation_throughput_batch` call: per refinement
+round, every (scheme, phase count) probe (× the seed ensemble) batches
+into one replica launch over the schemes' stacked path tables, each
+replica carrying its own per-phase ``link_schedule``.
 
 ``P = 1`` is the static complete graph (every channel always up) — the
 baseline each rotation is judged against.
@@ -136,39 +136,38 @@ def run(
         ]
         wc_results = engine.run(tasks)
 
-        # Saturation brackets: one batched prober call per scheme.  The
-        # round-robin base digraph is constructed deterministically, so
-        # every phase count's link events index the same channel ids and
-        # each P becomes a ((), link_schedule) case over one shared
-        # algorithm (and one compiled path table).
+        # Saturation brackets: one pooled prober call for every scheme
+        # and phase count.  The round-robin base digraph is constructed
+        # deterministically, so every phase count's link events index
+        # the same channel ids and each (scheme, P) becomes a
+        # ((), link_schedule, algorithm, traffic) case — one compiled
+        # path table per scheme.
         base = RotorSchedule.round_robin(k**2, 1, max(1, period)).base
         seed_list = (
             None if seeds is None else tuple(seed + i for i in range(seeds))
         )
-        sat: dict[tuple[int, str], object] = {}
-        for s in schemes:
-            s_tasks = [t for t in tasks if t.algorithm == s]
-            link_cases = [
-                ((), t._rotor_schedule().link_events(cycles)) for t in s_tasks
-            ]
-            ests = saturation_throughput_batch(
-                _scheme_algorithm(s, base, k),
-                traffic,
-                link_cases,
-                cycles=cycles,
-                warmup=cycles // 3,
-                iterations=iterations,
-                seed=seed,
-                seeds=seed_list,
-                backend=sim_backend,
-            )
-            for t, est in zip(s_tasks, ests):
-                sat[(int(t.phases), s)] = est
+        algorithms = {s: _scheme_algorithm(s, base, k) for s in schemes}
+        ests = saturation_throughput_batch(
+            cases=[
+                (
+                    (),
+                    t._rotor_schedule().link_events(cycles),
+                    algorithms[t.algorithm],
+                    traffic,
+                )
+                for t in tasks
+            ],
+            cycles=cycles,
+            warmup=cycles // 3,
+            iterations=iterations,
+            seed=seed,
+            seeds=seed_list,
+            backend=sim_backend,
+        )
 
         rows = []
-        for task, result in zip(tasks, wc_results):
+        for task, result, est in zip(tasks, wc_results, ests):
             theta_wc = 1.0 / result.load
-            est = sat[(int(task.phases), task.algorithm)]
             with obs.span(
                 "rotor.point",
                 phases=int(task.phases),

@@ -16,7 +16,7 @@ from repro.constants import DEFAULT_SIM_BACKEND
 from repro.experiments.common import fast_mode, render_table
 from repro.metrics.channel_load import canonical_max_load
 from repro.routing import IVAL, DimensionOrderRouting, VAL
-from repro.sim import saturation_throughput
+from repro.sim import saturation_throughput_batch
 from repro.topology.symmetry import TranslationGroup
 from repro.topology.torus import Torus
 from repro.traffic import tornado, transpose, uniform
@@ -53,8 +53,9 @@ def run(
     The default radix is small because the simulator is packet-exact;
     the analytic model is what scales.  All backends bracket through
     identical stability verdicts, so the reported brackets match across
-    ``--sim-backend`` choices (the batched backends just run each
-    refinement round as one replica launch).  ``seeds`` (CLI
+    ``--sim-backend`` choices (the vectorized backend runs each
+    refinement round of all five cases' brackets as one replica
+    launch).  ``seeds`` (CLI
     ``--seeds``) averages each probe over an ensemble of that many
     consecutive seeds starting at ``seed``; ``fault_schedule`` (CLI
     ``--fault-schedule``) injects channel kills into every probe — the
@@ -77,31 +78,33 @@ def run(
         (VAL(torus), "tornado", tornado(torus)),
         (IVAL(torus), "transpose", transpose(torus)),
     ]
-    rows = []
+    analytic = []
     for alg, traffic_name, lam in cases:
         with obs.span("sim.case", algorithm=alg.name, traffic=traffic_name):
-            analytic = 1.0 / canonical_max_load(
-                torus, group, alg.canonical_flows, lam
+            analytic.append(
+                1.0 / canonical_max_load(torus, group, alg.canonical_flows, lam)
             )
-            est = saturation_throughput(
-                alg,
-                lam,
-                cycles=cycles,
-                warmup=cycles // 3,
-                seed=seed,
-                seeds=seed_list,
-                fault_schedule=fault_schedule,
-                backend=sim_backend,
-            )
+    # Every case's bracket refines in the same launches, each replica
+    # routing on its own case's (algorithm, traffic) table.
+    ests = saturation_throughput_batch(
+        cases=[(fault_schedule, (), alg, lam) for alg, _, lam in cases],
+        cycles=cycles,
+        warmup=cycles // 3,
+        seed=seed,
+        seeds=seed_list,
+        backend=sim_backend,
+    )
+    rows = []
+    for (alg, traffic_name, _), theta, est in zip(cases, analytic, ests):
         log.debug(
             "sim: %s/%s analytic=%.3f bracket=[%.3f, %.3f]",
             alg.name,
             traffic_name,
-            analytic,
+            theta,
             est.lower,
             est.upper,
         )
         rows.append(
-            (alg.name, traffic_name, min(analytic, 1.0), est.lower, est.upper)
+            (alg.name, traffic_name, min(theta, 1.0), est.lower, est.upper)
         )
     return SimValidationData(rows_data=rows)

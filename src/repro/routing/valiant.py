@@ -53,6 +53,17 @@ class Valiant(ObliviousRouting):
         )
         self._phase2 = DimensionOrderRouting(torus, order=order2)
         self._remove_loops = remove_loops
+        # Each pair's distribution walks all N intermediates, so without
+        # a memo every phase distribution would be rebuilt N times.
+        self._phase_memo: tuple[dict, dict] = ({}, {})
+
+    def _phase_distribution(self, phase: int, src: int, dst: int):
+        memo = self._phase_memo[phase]
+        key = (src, dst)
+        if key not in memo:
+            routing = self._phase2 if phase else self._phase1
+            memo[key] = routing.path_distribution(src, dst)
+        return memo[key]
 
     def path_distribution(self, src: int, dst: int) -> list[tuple[Path, float]]:
         if src == dst:
@@ -60,8 +71,8 @@ class Valiant(ObliviousRouting):
         n = self.network.num_nodes
         acc: dict[Path, float] = {}
         for mid in range(n):
-            for p1, q1 in self._phase1.path_distribution(src, mid):
-                for p2, q2 in self._phase2.path_distribution(mid, dst):
+            for p1, q1 in self._phase_distribution(0, src, mid):
+                for p2, q2 in self._phase_distribution(1, mid, dst):
                     path = pathmod.concatenate(p1, p2)
                     if self._remove_loops:
                         path = pathmod.remove_loops(path)

@@ -30,6 +30,7 @@ from repro.sim.vectorized import (
     VectorizedSimulator,
     replica_grid,
     simulate_replicas,
+    simulate_tables,
     simulate_vectorized,
     sweep_vectorized,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "SimulationResult",
     "simulate",
     "simulate_replicas",
+    "simulate_tables",
     "simulate_vectorized",
     "sweep_vectorized",
     "Replica",

@@ -5,10 +5,11 @@ Both harnesses ride the replica-batched kernel: a latency/load curve
 with a seed ensemble is one (rate × seed) launch, and the saturation
 prober refines whole brackets — several interior rates per round, every
 seed of the ensemble, and (via :func:`saturation_throughput_batch`)
-several fault/link cases at once — per launch.  Probe *verdicts* are
-computed the same way on every backend, so brackets are
-backend-independent: the reference backend simply runs the same probes
-as individual per-packet calls.
+several cases at once, each with its own fault/link schedules and, if
+it likes, its own ``(algorithm, traffic)`` path table — per launch.
+Probe *verdicts* are computed the same way on every backend, so
+brackets are backend-independent: the reference backend simply runs
+the same probes as individual per-packet calls.
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ import numpy as np
 from repro import obs
 from repro.constants import DEFAULT_SIM_BACKEND
 from repro.routing.base import ObliviousRouting
-from repro.sim.network_sim import _check_backend, simulate
-from repro.sim.vectorized import Replica, replica_grid, simulate_replicas
-
-#: Backends that run a whole replica batch in one kernel launch.
-BATCHED_BACKENDS = ("vectorized", "compiled")
+from repro.sim.network_sim import _check_backend
+from repro.sim.vectorized import (
+    Replica,
+    replica_grid,
+    simulate_replicas,
+    simulate_tables,
+)
 
 #: Interior probe rates per bracket-refinement launch.  Each launch
 #: shrinks a bracket by ``probes + 1``×, so 3 probes quarter the bracket
@@ -59,7 +62,7 @@ def latency_load_curve(
 ):
     """Simulate a sweep of offered loads (the classic latency/load plot).
 
-    On the batched backends the whole sweep runs as one replica-batched
+    On the vectorized backend the whole sweep runs as one replica-batched
     kernel call — every (rate, seed) replica advances in the same array
     operations, so path-table setup and per-cycle costs amortize across
     the curve.  All backends return identical results for the same
@@ -140,9 +143,12 @@ class _Bracket:
     refinement began.  Every returned endpoint was probed.
     """
 
-    def __init__(self, lo, hi, fault_schedule, link_schedule, iterations, probes):
+    def __init__(
+        self, lo, hi, table, fault_schedule, link_schedule, iterations, probes
+    ):
         self.lo = float(lo)
         self.hi = float(hi)
+        self.table = int(table)
         self.fault_schedule = tuple(fault_schedule)
         self.link_schedule = tuple(link_schedule)
         self.iterations = int(iterations)
@@ -240,8 +246,7 @@ class _Bracket:
 
 
 def _probe_verdicts(
-    algorithm,
-    traffic,
+    tables,
     probes,
     ensemble,
     cycles,
@@ -249,40 +254,28 @@ def _probe_verdicts(
     backend,
     queue_capacity,
 ) -> list[bool]:
-    """Majority stability verdict per ``(rate, fault, link)`` probe.
+    """Majority stability verdict per ``(table, rate, fault, link)`` probe.
 
-    All probes × all ensemble seeds run as one replica batch on the
-    batched backends and as individual ``simulate`` calls on the
-    reference — the verdicts (and therefore every bracket built from
-    them) are identical either way.  Ensemble ties count as unstable:
-    the bracket should not report a rate as sustained when half the
-    seeds diverged.
+    All probes × all ensemble seeds run as one replica batch over the
+    stacked ``tables`` on the vectorized backend and as individual
+    ``simulate`` calls on the reference — the verdicts (and therefore
+    every bracket built from them) are identical either way.  Ensemble
+    ties count as unstable: the bracket should not report a rate as
+    sustained when half the seeds diverged.
     """
     replicas = [
-        Replica(rate, s, fault_schedule, link_schedule)
-        for rate, fault_schedule, link_schedule in probes
+        Replica(rate, s, fault_schedule, link_schedule, table)
+        for table, rate, fault_schedule, link_schedule in probes
         for s in ensemble
     ]
-    if backend in BATCHED_BACKENDS:
-        results = simulate_replicas(
-            algorithm,
-            traffic,
-            replicas,
-            cycles=cycles,
-            warmup=warmup,
-            queue_capacity=queue_capacity,
-            backend=backend,
-        )
-    else:
-        results = [
-            simulate(
-                algorithm,
-                traffic,
-                rep.to_config(cycles, warmup, queue_capacity),
-                backend=backend,
-            )
-            for rep in replicas
-        ]
+    results = simulate_tables(
+        tables,
+        replicas,
+        cycles=cycles,
+        warmup=warmup,
+        queue_capacity=queue_capacity,
+        backend=backend,
+    )
     width = len(ensemble)
     return [
         2 * sum(r.stable for r in results[i * width : (i + 1) * width]) > width
@@ -290,10 +283,32 @@ def _probe_verdicts(
     ]
 
 
+def _case_tables(algorithm, traffic, cases):
+    """Split ``cases`` into distinct ``(algorithm, traffic)`` tables and
+    per-case ``(table, fault_schedule, link_schedule)`` triples."""
+    tables: list[tuple] = []
+    index: dict[tuple[int, int], int] = {}
+    out = []
+    for case in cases:
+        fault_schedule, link_schedule, *own = case
+        alg, lam = own if own else (algorithm, traffic)
+        if alg is None or lam is None:
+            raise ValueError(
+                "a case without its own (algorithm, traffic) needs the "
+                "batch-wide algorithm and traffic"
+            )
+        key = (id(alg), id(lam))
+        if key not in index:
+            index[key] = len(tables)
+            tables.append((alg, lam))
+        out.append((index[key], tuple(fault_schedule), tuple(link_schedule)))
+    return tables, out
+
+
 def saturation_throughput_batch(
-    algorithm: ObliviousRouting,
-    traffic: np.ndarray,
-    cases: Sequence[tuple[Sequence, Sequence]],
+    algorithm: ObliviousRouting | None = None,
+    traffic: np.ndarray | None = None,
+    cases: Sequence[tuple] = (),
     *,
     lo: float = 0.05,
     hi: float = 1.0,
@@ -308,15 +323,20 @@ def saturation_throughput_batch(
 ) -> list[SaturationEstimate]:
     """Refine one saturation bracket per case — all cases per launch.
 
-    ``cases`` is a sequence of ``(fault_schedule, link_schedule)`` pairs
-    sharing one algorithm and traffic matrix: the fault prefixes of a
-    failure sweep, one link schedule per rotor phase count, and so on.
-    Every refinement round pools the pending probe rates of *all*
-    unfinished cases, crossed with the seed ensemble, into a single
-    replica batch — one compiled path table and one kernel launch per
-    round on the batched backends; sequential reference runs otherwise.
+    Each case is ``(fault_schedule, link_schedule)`` on the batch-wide
+    ``algorithm`` and ``traffic`` (the fault prefixes of a failure
+    sweep, one link schedule per rotor phase count, ...) or
+    ``(fault_schedule, link_schedule, algorithm, traffic)`` carrying its
+    own pair (the rerouted algorithm of each degraded network, one
+    (algorithm, traffic) validation case, ...).  Every refinement round
+    pools the pending probe rates of *all* unfinished cases, crossed
+    with the seed ensemble, into a single replica batch — one kernel
+    launch per round over the stacked path tables of every distinct
+    pair (each compiled once) on the vectorized backend; sequential
+    reference runs otherwise.  The pairs must share a node count.
     Probe verdicts are pure functions of the replica tuples, so the
-    returned brackets are backend-independent.
+    returned brackets are backend-independent and equal to bracketing
+    each case on its own.
 
     ``seeds`` averages each probe over an ensemble (majority verdict,
     ties unstable); ``seeds=None`` probes with ``seed`` alone.
@@ -327,16 +347,18 @@ def saturation_throughput_batch(
     if probes_per_launch < 1:
         raise ValueError("probes_per_launch must be >= 1")
     ensemble = _seed_ensemble(seed, seeds)
+    tables, triples = _case_tables(algorithm, traffic, cases)
     states = [
-        _Bracket(lo, hi, fs, ls, iterations, probes_per_launch)
-        for fs, ls in cases
+        _Bracket(lo, hi, table, fs, ls, iterations, probes_per_launch)
+        for table, fs, ls in triples
     ]
     launches = probed = 0
     with obs.span(
         "sim.saturation",
-        algorithm=algorithm.name,
+        algorithm=", ".join(alg.name for alg, _ in tables),
         iterations=int(iterations),
         cases=len(states),
+        tables=len(tables),
         seeds=len(ensemble),
         backend=backend,
     ) as sp:
@@ -347,13 +369,17 @@ def saturation_throughput_batch(
             if not active:
                 break
             probes = [
-                (rate, states[i].fault_schedule, states[i].link_schedule)
+                (
+                    states[i].table,
+                    rate,
+                    states[i].fault_schedule,
+                    states[i].link_schedule,
+                )
                 for i, rates in active
                 for rate in rates
             ]
             verdicts = _probe_verdicts(
-                algorithm,
-                traffic,
+                tables,
                 probes,
                 ensemble,
                 cycles,
@@ -398,7 +424,7 @@ def saturation_throughput(
     all-unstable cases).
 
     All backends refine through identical stability verdicts.  The
-    batched ones compile their path tables once and reuse them across
+    vectorized one compiles the path tables once and reuses them across
     every probe of the bracket, running each refinement round — several
     interior rates × the seed ensemble — as a single kernel launch; the
     obs trace for one call therefore carries exactly one ``sim.compile``

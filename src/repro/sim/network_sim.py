@@ -38,11 +38,8 @@ from repro.traffic.doubly_stochastic import validate_doubly_stochastic
 #: ``--sim-backend`` CLI flag).  ``reference`` is the per-packet loop in
 #: this module; ``vectorized`` is the struct-of-arrays kernel in
 #: :mod:`repro.sim.vectorized`, differentially tested to reproduce the
-#: reference's packet counts exactly; ``compiled`` is the same kernel
-#: with its per-cycle hot loops routed through :mod:`repro.sim.kernel`
-#: (numba-jitted when importable, silently falling back to the NumPy
-#: twins otherwise — identical counts either way).
-BACKENDS = ("reference", "vectorized", "compiled")
+#: reference's packet counts exactly.
+BACKENDS = ("reference", "vectorized")
 
 #: Actions a ``link_schedule`` entry may carry.  ``"down"`` parks a
 #: channel — it serves nothing but keeps its queue and accepts new
@@ -289,12 +286,10 @@ def simulate(
     attributes (vectorized runs add ``backend="vectorized"``).
     """
     _check_backend(backend)
-    if backend in ("vectorized", "compiled"):
+    if backend == "vectorized":
         from repro.sim.vectorized import simulate_vectorized
 
-        return simulate_vectorized(
-            algorithm, traffic, config, compiled=backend == "compiled"
-        )
+        return simulate_vectorized(algorithm, traffic, config)
     with obs.span(
         "sim.run",
         rate=float(config.injection_rate),

@@ -10,7 +10,12 @@ fault_schedule, link_schedule)`` tuple, so a whole (rate × seed × fault)
 grid runs as one call — the per-``(s, d)`` path tables are compiled
 once and the per-cycle work for all replicas shares the same vector
 operations.  Per-replica ``dead``/``down`` channel masks let replicas
-in the same launch carry *different* fault and link schedules.
+in the same launch carry *different* fault and link schedules, and
+per-replica *table* indices let them route on different compiled path
+tables: :meth:`VectorizedSimulator.stack` joins several ``(algorithm,
+traffic)`` tables — different algorithms, traffic matrices or degraded
+networks over the same nodes — so one launch can serve every case of a
+sweep.  A one-table simulator is simply the one-table stack.
 
 Equivalence contract (enforced by ``tests/sim/test_differential.py``
 and ``tests/sim/test_replicas.py``):
@@ -20,20 +25,22 @@ and ``tests/sim/test_replicas.py``):
   node (ascending id) one uniform for the destination and, iff the
   pair's path distribution has more than one entry, one uniform for the
   path choice.  The kernel reproduces this interleaved stream without a
-  per-packet Python loop by over-drawing a scratch block from a saved
-  bit-generator state, decoding destinations with a vectorized fixpoint
-  (draw positions depend only on *predecessor* flags, so the iteration
-  converges once the flags stabilize), and then rewinding the generator
-  and advancing it by the exact number of consumed draws.
+  per-packet Python loop: each replica over-draws one block per cycle
+  (mask plus the per-injector maximum), destinations are decoded with
+  a vectorized fixpoint (draw positions depend only on *predecessor*
+  flags, so the iteration converges once the flags stabilize), and the
+  generator then steps back over the draws the reference would not
+  have consumed.
 * **Arbitration** is deterministic: channels service their queues in
   channel-index order, FIFO within a queue, up to ``bandwidth`` packets
   per cycle; forwarded packets join their next queue in (forwarding
   channel, FIFO) order.  The kernel encodes this with a monotone
   enqueue-sequence number and one sort per cycle on the combined
   ``(queue, sequence)`` key — the tie-breaking contract documented in
-  DESIGN.md ("Simulator backends").  The per-cycle rankings live in
-  :mod:`repro.sim.kernel` behind the ``compiled`` seam (numba-jitted
-  when importable, NumPy otherwise, identical counts either way).
+  DESIGN.md ("Simulator backends").  Every replica owns a contiguous
+  block of the flat queue space (as many queues as its table's network
+  has channels), so replicas never share a queue and the cross-replica
+  order of the sort is immaterial.
 
 Given the same replica tuple the batched and individual runs therefore
 agree *exactly* on every packet count, and bit-for-bit on the latency
@@ -45,7 +52,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-import weakref
 
 import numpy as np
 
@@ -53,8 +59,6 @@ from repro import obs
 from repro.constants import DEFAULT_SIM_BACKEND, DISTRIBUTION_ATOL
 from repro.routing.base import ObliviousRouting
 from repro.routing.paths import path_channels
-from repro.sim.kernel import SEQ_BITS as _SEQ_BITS
-from repro.sim.kernel import arrival_keep, pop_selection
 from repro.sim.network_sim import (
     SimulationConfig,
     SimulationResult,
@@ -72,9 +76,20 @@ from repro.traffic.doubly_stochastic import validate_doubly_stochastic
 log = obs.get_logger(__name__)
 
 #: Columns of the in-flight packet array (struct of arrays as one 2-D
-#: int64 block: one row per packet, compacted every cycle).
-_REP, _CHAN, _SEQ, _POS, _END, _ITIME, _PLEN = range(7)
+#: int64 block: one row per packet, compacted every cycle).  ``_QKEY``
+#: is the packet's current queue in the flat queue space: its replica's
+#: queue-block base plus the channel it waits on.
+_REP, _QKEY, _SEQ, _POS, _END, _ITIME, _PLEN = range(7)
 _NUM_COLS = 7
+
+#: Bits reserved for the enqueue sequence in the combined sort key.  The
+#: sequence counter is monotone per run and bounded by total enqueues,
+#: far below 2**40.
+_SEQ_BITS = 40
+
+#: Period of the PCG64 state; advancing by ``_PCG64_PERIOD - k`` rewinds
+#: a generator by ``k`` draws.
+_PCG64_PERIOD = 1 << 128
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,24 +97,30 @@ class Replica:
     """One independent simulation in a batched launch.
 
     A replica is the full stochastic identity of a run:
-    ``(injection_rate, seed, fault_schedule, link_schedule)``.
-    Replicas in one batch share the compiled path tables and the cycle
-    loop but nothing stochastic — each owns a fresh
+    ``(injection_rate, seed, fault_schedule, link_schedule)``, plus the
+    index of the path table (in the launching simulator's stack) it
+    routes on.  Replicas in one batch share the compiled path tables and
+    the cycle loop but nothing stochastic — each owns a fresh
     ``default_rng(seed)`` and its own channel fault/link state — so its
     counts are draw-for-draw identical to an individual
-    :func:`repro.sim.simulate` call with the same tuple.
+    :func:`repro.sim.simulate` call with the same tuple on its table's
+    ``(algorithm, traffic)``.
     """
 
     injection_rate: float
     seed: int = 0
     fault_schedule: tuple[tuple[int, int], ...] = ()
     link_schedule: tuple[tuple[int, int, str], ...] = ()
+    table: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.injection_rate <= 1.0:
             raise ValueError("injection_rate must be in [0, 1]")
+        if int(self.table) < 0:
+            raise ValueError("table must be a nonnegative index")
         object.__setattr__(self, "injection_rate", float(self.injection_rate))
         object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "table", int(self.table))
         object.__setattr__(
             self, "fault_schedule", normalize_fault_schedule(self.fault_schedule)
         )
@@ -146,8 +167,48 @@ def _as_replicas(replicas) -> list[Replica]:
     return [r if isinstance(r, Replica) else Replica(*r) for r in replicas]
 
 
+def _queue_ranks(qkey_sorted: np.ndarray) -> np.ndarray:
+    """Position of each entry within its run of equal (sorted) keys."""
+    size = qkey_sorted.shape[0]
+    head = np.empty(size, dtype=bool)
+    head[0] = True
+    head[1:] = qkey_sorted[1:] != qkey_sorted[:-1]
+    idx = np.arange(size)
+    return idx - idx[head][np.cumsum(head) - 1]
+
+
+def _pop_selection(
+    qkey: np.ndarray, seq: np.ndarray, budgets: np.ndarray
+) -> np.ndarray:
+    """Indices of the packets popped this cycle (``qkey`` non-empty).
+
+    One sort on the combined ``(queue, sequence)`` key, then each
+    queue's first ``budgets[q]`` packets in FIFO order — the reference
+    arbitration contract (channel-index order across queues, FIFO
+    within).  Emission order is the sorted order, which the cycle loop
+    relies on for deterministic downstream processing.
+    """
+    order = np.argsort((qkey << _SEQ_BITS) | seq)
+    q_sorted = qkey[order]
+    return order[_queue_ranks(q_sorted) < budgets[q_sorted]]
+
+
+def _arrival_keep(qkey: np.ndarray, occ: np.ndarray, cap: int) -> np.ndarray:
+    """Boolean mask of forwarded packets that fit their next queue.
+
+    Arrival order per queue decides who fills the remaining
+    ``cap - occ[q]`` slots, exactly as the reference's sequential
+    appends do — hence the stable sort on the queue key alone.
+    """
+    order = np.argsort(qkey, kind="stable")
+    q_sorted = qkey[order]
+    keep = np.empty(qkey.shape[0], dtype=bool)
+    keep[order] = _queue_ranks(q_sorted) < (cap - occ[q_sorted])
+    return keep
+
+
 class VectorizedSimulator:
-    """Compiled simulator for one ``(algorithm, traffic)`` pair.
+    """Compiled path tables for one or more ``(algorithm, traffic)`` pairs.
 
     Compilation materializes, for every drawable source/destination
     pair, the reference simulator's cached path distribution: the
@@ -156,62 +217,133 @@ class VectorizedSimulator:
     feeds to ``Generator.choice``).  The tables are reused across every
     :meth:`run`/:meth:`run_replicas` call, which is what amortizes setup
     over a rate sweep, a seed ensemble, or a saturation bisection.
+
+    Constructed from one pair, the simulator holds one table;
+    :meth:`stack` joins several simulators' tables, offsetting path ids,
+    pair keys and traffic rows per table, so a single launch can mix
+    replicas of different algorithms, traffic matrices and degraded
+    networks (with different channel counts).  All tables of a stack
+    share one node count.
     """
 
     def __init__(self, algorithm: ObliviousRouting, traffic: np.ndarray):
         net = algorithm.network
         validate_doubly_stochastic(traffic, tol=DISTRIBUTION_ATOL)
-        self.algorithm = algorithm
-        self.traffic = np.asarray(traffic, dtype=np.float64)
-        self.num_nodes = int(net.num_nodes)
-        self.num_channels = int(net.num_channels)
+        traffic = np.asarray(traffic, dtype=np.float64)
+        n = int(net.num_nodes)
+        self.num_nodes = n
+        self._tables = [(algorithm, traffic)]
+        self._num_channels = np.asarray([net.num_channels], dtype=np.int64)
+        self._chan_off = np.zeros(1, dtype=np.int64)
         # Integral bandwidths use a constant per-cycle budget; fractional
         # ones (heterogeneous Z-slowdown links) go through the shared
         # token-bucket schedule every cycle — see ``service_budgets``.
-        self._bandwidth_exact = np.asarray(net.bandwidth, dtype=np.float64)
-        self._integral_bandwidth = bool(
-            np.allclose(np.round(self._bandwidth_exact), self._bandwidth_exact)
+        # Stored per channel so stacked tables keep their own mode.
+        self._bw_exact = np.asarray(net.bandwidth, dtype=np.float64)
+        self._bw_round = self._bw_exact.round().astype(np.int64)
+        self._bw_integral = np.full(
+            self._bw_exact.size, np.allclose(self._bw_round, self._bw_exact)
         )
-        self._bandwidth = (
-            self._bandwidth_exact.round().astype(np.int64)
-            if self._integral_bandwidth
-            else None
-        )
-        self._cum_traffic = np.cumsum(self.traffic, axis=1)
-        self._diag_mean = float(np.diag(self.traffic).mean())
+        self._diag_mean = np.asarray([np.diag(traffic).mean()])
+        # Destination decode counts the CDF entries below the draw; the
+        # +inf last column caps the count at n - 1, like the reference.
+        self._cum_traffic = np.cumsum(traffic, axis=1)
+        self._cum_traffic[:, -1] = np.inf
 
-        n2 = self.num_nodes * self.num_nodes
-        # -1 marks an uncompiled pair; self-pairs have the single
-        # zero-hop path and never consume a path draw.
+        n2 = n * n
+        # Pair keys are ``table * n**2 + s * n + d``.  -1 marks an
+        # uncompiled pair; self-pairs have the single zero-hop path and
+        # never consume a path draw.
         self._npaths = np.full(n2, -1, dtype=np.int64)
-        diag = np.arange(self.num_nodes) * (self.num_nodes + 1)
-        self._npaths[diag] = 1
+        self._npaths[np.arange(n) * (n + 1)] = 1
         self._pair_base = np.full(n2, -1, dtype=np.int64)
-        self._path_start = np.zeros(0, dtype=np.int64)
-        self._path_len = np.zeros(0, dtype=np.int64)
-        self._chan_flat = np.zeros(0, dtype=np.int64)
+        # Path itineraries are int32: they dominate a table's footprint.
+        self._path_start = np.zeros(0, dtype=np.int32)
+        self._path_len = np.zeros(0, dtype=np.int32)
+        self._chan_flat = np.zeros(0, dtype=np.int32)
         self._cdf = np.full((n2, 1), np.inf)
 
-        support = np.argwhere(self.traffic > 0.0)
+        support = np.argwhere(traffic > 0.0)
         pairs = [(int(s), int(d)) for s, d in support if s != d]
         with obs.span(
             "sim.compile", algorithm=algorithm.name, pairs=len(pairs)
         ) as sp:
-            self._compile_pairs(pairs)
+            self._compile_pairs(0, pairs)
             sp.set(
                 paths=int(self._path_len.size),
                 channel_entries=int(self._chan_flat.size),
             )
+        # Starting guess for the injection-decode fixpoint, per source:
+        # 2 draws if its packet more likely than not picks a multi-path
+        # destination, else 1.  The fixpoint's solution does not depend
+        # on the guess; a good one only saves iterations.
+        multi = self._npaths.reshape(n, n) > 1
+        self._guess = 1 + ((traffic * multi).sum(axis=1) > 0.5).astype(np.int64)
+
+    @classmethod
+    def stack(cls, sims) -> "VectorizedSimulator":
+        """One simulator over every table of ``sims``, in order.
+
+        Table ``j`` of the result is the ``j``-th table across ``sims``.
+        The compiled arrays are copied with per-table offsets — nothing
+        is recompiled, and pairs compiled lazily later land in the stack
+        only.  A single simulator stacks to itself.
+        """
+        sims = list(sims)
+        if not sims:
+            raise ValueError("stack needs at least one simulator")
+        if len(sims) == 1:
+            return sims[0]
+        n = sims[0].num_nodes
+        if any(s.num_nodes != n for s in sims):
+            raise ValueError("stacked path tables must share a node count")
+        out = cls.__new__(cls)
+        out.num_nodes = n
+        out._tables = [t for s in sims for t in s._tables]
+        out._num_channels = np.concatenate([s._num_channels for s in sims])
+        out._chan_off = np.concatenate(
+            ([0], np.cumsum(out._num_channels)[:-1])
+        ).astype(np.int64)
+        for name in (
+            "_bw_exact", "_bw_round", "_bw_integral", "_diag_mean",
+            "_cum_traffic", "_guess", "_npaths", "_path_len", "_chan_flat",
+        ):
+            setattr(out, name, np.concatenate([getattr(s, name) for s in sims]))
+        path_off = np.cumsum([0] + [s._path_len.size for s in sims])
+        entry_off = np.cumsum([0] + [s._chan_flat.size for s in sims])
+        out._pair_base = np.concatenate(
+            [
+                np.where(s._pair_base >= 0, s._pair_base + off, -1)
+                for s, off in zip(sims, path_off)
+            ]
+        )
+        out._path_start = np.concatenate(
+            [s._path_start + int(off) for s, off in zip(sims, entry_off)]
+        )
+        width = max(s._cdf.shape[1] for s in sims)
+        out._cdf = np.concatenate(
+            [
+                np.pad(
+                    s._cdf,
+                    ((0, 0), (0, width - s._cdf.shape[1])),
+                    constant_values=np.inf,
+                )
+                for s in sims
+            ]
+        )
+        return out
 
     # ------------------------------------------------------------------
     # Path-table compilation
     # ------------------------------------------------------------------
-    def _compile_pairs(self, pairs: list[tuple[int, int]]) -> None:
-        """Build tables for ``pairs`` (skipping already-compiled ones)."""
-        net = self.algorithm.network
+    def _compile_pairs(self, table: int, pairs: list[tuple[int, int]]) -> None:
+        """Build ``table``'s entries for ``pairs`` (skipping compiled ones)."""
+        algorithm = self._tables[table][0]
+        net = algorithm.network
         n = self.num_nodes
+        off = table * n * n
         todo = [
-            (s, d) for s, d in pairs if self._npaths[s * n + d] < 0
+            (s, d) for s, d in pairs if self._npaths[off + s * n + d] < 0
         ]
         if not todo:
             return
@@ -220,9 +352,9 @@ class VectorizedSimulator:
         next_base = int(self._path_len.size)
         bases, counts = [], []
         for s, d in todo:
-            dist = self.algorithm.path_distribution(s, d)
+            dist = algorithm.path_distribution(s, d)
             chans = [
-                np.asarray(path_channels(net, p), dtype=np.int64)
+                np.asarray(path_channels(net, p), dtype=np.int32)
                 for p, _ in dist
             ]
             # Replicate the reference's normalization chain exactly:
@@ -243,10 +375,10 @@ class VectorizedSimulator:
             cdfs.append(cdf)
 
         self._path_start = np.concatenate(
-            [self._path_start, np.asarray(starts, dtype=np.int64)]
+            [self._path_start, np.asarray(starts, dtype=np.int32)]
         )
         self._path_len = np.concatenate(
-            [self._path_len, np.asarray(lens, dtype=np.int64)]
+            [self._path_len, np.asarray(lens, dtype=np.int32)]
         )
         self._chan_flat = np.concatenate([self._chan_flat] + chan_blocks)
         width = max(self._cdf.shape[1], max(len(c) for c in cdfs))
@@ -255,100 +387,99 @@ class VectorizedSimulator:
             grown[:, : self._cdf.shape[1]] = self._cdf
             self._cdf = grown
         for (s, d), base, count, cdf in zip(todo, bases, counts, cdfs):
-            key = s * n + d
+            key = off + s * n + d
             self._pair_base[key] = base
             self._npaths[key] = count
             self._cdf[key, :count] = cdf
             self._cdf[key, count:] = np.inf
 
-    def _ensure_pairs(self, srcs: np.ndarray, dsts: np.ndarray) -> None:
+    def _ensure_pairs(self, keys: np.ndarray) -> None:
         """Lazily compile pairs hit by a boundary draw (zero-traffic
         destinations are reachable only when a uniform lands exactly on
-        a CDF step — measure zero, but the reference routes them)."""
-        keys = srcs * self.num_nodes + dsts
+        a CDF step — measure zero, but the reference routes them).
+        Each missing pair compiles into its own table."""
         need = self._npaths[keys] < 0
         if need.any():
-            pairs = sorted(
-                {(int(s), int(d)) for s, d in zip(srcs[need], dsts[need])}
-            )
-            log.debug("lazy-compiling %d off-support pairs", len(pairs))
-            self._compile_pairs(pairs)
+            n = self.num_nodes
+            missing = np.unique(keys[need])
+            log.debug("lazy-compiling %d off-support pairs", missing.size)
+            tables, local = np.divmod(missing, n * n)
+            for table in np.unique(tables):
+                self._compile_pairs(
+                    int(table),
+                    [(int(k) // n, int(k) % n) for k in local[tables == table]],
+                )
 
     # ------------------------------------------------------------------
     # Injection decoding (exact RNG-stream replay)
     # ------------------------------------------------------------------
-    def _decode_injections(self, rngs, injector_lists, cycle: int):
-        """Consume the destination/path draws for this cycle's injectors.
+    def _decode_injections(self, draws, rep_idx, srcs, rep_table):
+        """Decode this cycle's injections from the replicas' draws.
 
-        ``injector_lists[i]`` holds the injecting node ids (ascending)
-        of active replica ``i``.  Returns per-packet arrays (replica
-        index, source, destination, global path id) covering every
-        decoded draw, including self-addressed ones (``dst == src``),
-        which the caller filters out exactly like the reference's
-        ``continue``.
+        ``draws[i]`` holds replica ``i``'s uniforms for this cycle: the
+        ``n`` Bernoulli-mask draws, then an over-drawn block of ``2 n``
+        (two per injector at most).  ``(rep_idx, srcs)`` lists the
+        injecting nodes, grouped by replica, ascending within one.
+        Returns per-packet arrays (replica index, source, destination,
+        global path id) covering every decoded draw — including
+        self-addressed ones (``dst == src``), which the caller filters
+        out exactly like the reference's ``continue`` — and the number
+        of block draws each replica really consumed.
         """
-        # Replicas with no injector this cycle consume no draws; drop
-        # them so segment bookkeeping never sees zero-length segments.
-        active = [i for i, a in enumerate(injector_lists) if len(a)]
-        if not active:
-            return (np.zeros(0, np.int64),) * 4
-        act_rngs = [rngs[i] for i in active]
-        act_lists = [injector_lists[i] for i in active]
-        m_list = np.asarray([len(a) for a in act_lists], dtype=np.int64)
-        m_total = int(m_list.sum())
-        srcs = np.concatenate(act_lists)
-        seg_of = np.repeat(np.arange(len(m_list)), m_list)
-        seg_id = np.asarray(active, dtype=np.int64)[seg_of]
-        seg_start = np.concatenate(([0], np.cumsum(m_list)[:-1]))
-        # Over-draw 2 uniforms per injector (the per-injector maximum)
-        # from a saved state, decode, then rewind and advance exactly.
-        states = [rng.bit_generator.state for rng in act_rngs]
-        u_blocks = [rng.random(2 * m) for rng, m in zip(act_rngs, m_list)]
-        u_all = np.concatenate(u_blocks)
-        u_off = np.concatenate(([0], np.cumsum(2 * m_list)[:-1]))
-
         n = self.num_nodes
-        cum_rows = self._cum_traffic[srcs]
-        g = np.ones(m_total, dtype=np.int64)
-        dsts = np.zeros(m_total, dtype=np.int64)
-        p_local = np.zeros(m_total, dtype=np.int64)
+        consumed = np.zeros(draws.shape[0], dtype=np.int64)
+        m_total = srcs.size
+        if m_total == 0:
+            empty = np.zeros(0, np.int64)
+            return empty, empty, empty, empty, consumed
+        # Index of each injector's replica-segment start.
+        head = np.empty(m_total, dtype=bool)
+        head[0] = True
+        head[1:] = rep_idx[1:] != rep_idx[:-1]
+        seg_start = np.flatnonzero(head)
+        start_of = seg_start[np.cumsum(head) - 1]
+        flat = draws.reshape(-1)
+        block = rep_idx * draws.shape[1] + n
+
+        rows = rep_table[rep_idx] * n + srcs
+        cum_rows = self._cum_traffic[rows]
+        pair_row = rows * n
+        # g counts each injector's draws: 2 iff its pair is multi-path
+        # (self-pairs have one path, so they count 1).  Draw positions
+        # depend only on *predecessor* counts, so the iteration
+        # converges once the counts stabilize.
+        g = self._guess[rows]
         for _ in range(m_total + 1):
             p_excl = np.cumsum(g) - g
-            p_local = p_excl - p_excl[seg_start][seg_of]
-            u1 = u_all[u_off[seg_of] + p_local]
-            dsts = np.minimum(
-                (cum_rows < u1[:, None]).sum(axis=1), n - 1
-            )
-            self._ensure_pairs(srcs, dsts)
-            keys = srcs * n + dsts
-            g_new = 1 + ((dsts != srcs) & (self._npaths[keys] > 1))
-            if np.array_equal(g_new, g):
+            p_local = p_excl - p_excl[start_of]
+            u1 = flat[block + p_local]
+            dsts = np.count_nonzero(cum_rows < u1[:, None], axis=1)
+            keys = pair_row + dsts
+            npaths = self._npaths[keys]
+            if npaths.min() < 0:
+                self._ensure_pairs(keys)
+                npaths = self._npaths[keys]
+            g_new = 1 + (npaths > 1)
+            if not (g_new != g).any():
                 break
             g = g_new
         else:  # pragma: no cover - the fixpoint provably converges
             raise AssertionError("injection decode did not converge")
 
         # Path choice for multi-path pairs (one more uniform each).
-        keys = srcs * n + dsts
         pidx = np.zeros(m_total, dtype=np.int64)
         multi = g == 2
         if multi.any():
-            u2 = u_all[(u_off[seg_of] + p_local + 1)[multi]]
+            u2 = flat[(block + p_local + 1)[multi]]
             pidx[multi] = (
                 self._cdf[keys[multi]] <= u2[:, None]
             ).sum(axis=1)
 
-        # Rewind each generator and consume exactly what the reference
-        # would have: the next cycle's draws stay stream-aligned.
-        consumed = np.add.reduceat(g, seg_start)
-        for rng, state, used in zip(act_rngs, states, consumed):
-            rng.bit_generator.state = state
-            rng.random(int(used))
-
+        consumed[rep_idx[seg_start]] = np.add.reduceat(g, seg_start)
         gpid = np.where(
             dsts != srcs, self._pair_base[keys] + pidx, -1
         )
-        return seg_id, srcs, dsts, gpid
+        return rep_idx, srcs, dsts, gpid, consumed
 
     # ------------------------------------------------------------------
     # Batched cycle loop
@@ -359,26 +490,22 @@ class VectorizedSimulator:
         cycles: int = 2000,
         warmup: int = 500,
         queue_capacity: int | None = None,
-        compiled: bool = False,
     ) -> list[SimulationResult]:
         """Run every replica in one batched cycle loop.
 
         Each replica is an independent copy of the reference process —
         fresh ``default_rng(seed)``, its own queues, and its *own*
         ``dead``/``down`` channel masks, so replicas may carry different
-        fault and link schedules in the same launch.  The replicas
-        share each cycle's vector operations, so the per-cycle cost is
-        nearly flat in the batch size.  A replica's ``fault_schedule``
-        kills channels mid-run in that replica only (the reference
-        semantics: queued packets and later arrivals on a dead channel
-        are counted in its ``lost``); its ``link_schedule`` toggles
-        per-channel service on and off losslessly (the rotor semantics —
-        down channels hold their queues).  Both are RNG-free, so the
+        fault and link schedules in the same launch, and route on
+        different tables of a :meth:`stack`.  The replicas share each
+        cycle's vector operations, so the per-cycle cost is nearly flat
+        in the batch size.  A replica's ``fault_schedule`` kills
+        channels mid-run in that replica only (the reference semantics:
+        queued packets and later arrivals on a dead channel are counted
+        in its ``lost``); its ``link_schedule`` toggles per-channel
+        service on and off losslessly (the rotor semantics — down
+        channels hold their queues).  Both are RNG-free, so the
         draw-for-draw contract with individual runs is untouched.
-
-        ``compiled=True`` routes the per-cycle rankings through the
-        jitted kernels in :mod:`repro.sim.kernel` (NumPy fallback when
-        numba is missing; identical counts either way).
         """
         replicas = _as_replicas(replicas)
         if warmup >= cycles:
@@ -388,11 +515,32 @@ class VectorizedSimulator:
             return []
 
         n = self.num_nodes
-        c = self.num_channels
-        nq = num_reps * c
+        rep_table = np.asarray([rep.table for rep in replicas], dtype=np.int64)
+        if rep_table.max() >= len(self._tables):
+            raise ValueError(
+                f"replica table {int(rep_table.max())} out of range "
+                f"({len(self._tables)} tables)"
+            )
+        # Replica i owns queues qbase[i] .. qbase[i] + (its channels) - 1;
+        # bw_index maps each queue to its entry in the stacked per-table
+        # channel arrays.
+        rep_chans = self._num_channels[rep_table]
+        qbase = np.concatenate(([0], np.cumsum(rep_chans)[:-1]))
+        nq = int(rep_chans.sum())
+        bw_index = np.arange(nq) + np.repeat(
+            self._chan_off[rep_table] - qbase, rep_chans
+        )
+        integral = bool(self._bw_integral[bw_index].all())
         cap = queue_capacity
         rngs = [np.random.default_rng(rep.seed) for rep in replicas]
         rate_arr = np.asarray([rep.injection_rate for rep in replicas])
+        # Each cycle every replica draws its n mask uniforms plus 2 n
+        # for injections in one call, then steps its generator back over
+        # the block draws it did not consume, so the next cycle's draws
+        # stay stream-aligned with the reference.  A ``default_rng``
+        # (PCG64) double is one generator step, and advancing by
+        # 2**128 - k steps back by k.
+        draws = np.empty((num_reps, 3 * n))
 
         # Schedules index the *flattened* (replica, channel) queue space,
         # so one pair of masks carries every replica's channel state.
@@ -400,15 +548,16 @@ class VectorizedSimulator:
         link_by_cycle: dict[int, list[tuple[int, str]]] = {}
         for i, rep in enumerate(replicas):
             validate_channel_events(
-                rep.fault_schedule, rep.link_schedule, cycles, c
+                rep.fault_schedule, rep.link_schedule, cycles, int(rep_chans[i])
             )
+            base = int(qbase[i])
             for kill_cycle, channel in rep.fault_schedule:
                 fault_by_cycle.setdefault(int(kill_cycle), []).append(
-                    i * c + int(channel)
+                    base + int(channel)
                 )
             for ev_cycle, channel, action in rep.link_schedule:
                 link_by_cycle.setdefault(int(ev_cycle), []).append(
-                    (i * c + int(channel), action)
+                    (base + int(channel), action)
                 )
         dead = np.zeros(nq, dtype=bool)
         down = np.zeros(nq, dtype=bool)
@@ -425,8 +574,8 @@ class VectorizedSimulator:
         backlog_at_warmup = np.zeros(num_reps, dtype=np.int64)
         queue_peak = np.zeros(num_reps, dtype=np.int64)
         lat_blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        if self._integral_bandwidth:
-            bw_by_queue = np.tile(self._bandwidth, num_reps)
+        if integral:
+            bw_by_queue = self._bw_round[bw_index]
 
         for cycle in range(cycles):
             events = link_by_cycle.get(cycle)
@@ -440,7 +589,7 @@ class VectorizedSimulator:
                 # mark dead, destroy that replica's queued packets.
                 dead[kills] = True
                 if packets.shape[0]:
-                    p_qkey = packets[:, _REP] * c + packets[:, _CHAN]
+                    p_qkey = packets[:, _QKEY]
                     doomed = dead[p_qkey]
                     if doomed.any():
                         lost += np.bincount(
@@ -454,13 +603,15 @@ class VectorizedSimulator:
                 )
 
             # -- phase 1: injection -------------------------------------
-            masks = [rng.random(n) for rng in rngs]
-            injector_lists = [
-                np.flatnonzero(u < r) for u, r in zip(masks, rate_arr)
-            ]
-            seg_id, srcs, dsts, gpid = self._decode_injections(
-                rngs, injector_lists, cycle
+            for rng, row in zip(rngs, draws):
+                rng.random(out=row)
+            rep_idx, srcs = np.nonzero(draws[:, :n] < rate_arr[:, None])
+            seg_id, srcs, dsts, gpid, consumed = self._decode_injections(
+                draws, rep_idx, srcs, rep_table
             )
+            for rng, unused in zip(rngs, (2 * n - consumed).tolist()):
+                if unused:
+                    rng.bit_generator.advance(_PCG64_PERIOD - unused)
             sel = dsts != srcs
             if sel.any():
                 p_rep = seg_id[sel]
@@ -468,8 +619,7 @@ class VectorizedSimulator:
                 injected += np.bincount(p_rep, minlength=num_reps)
                 pos = self._path_start[p_gpid]
                 plen = self._path_len[p_gpid]
-                chan0 = self._chan_flat[pos]
-                qkey = p_rep * c + chan0
+                qkey = qbase[p_rep] + self._chan_flat[pos]
                 dead0 = dead[qkey]
                 if dead0.any():
                     # Dead first hop loses the packet before any
@@ -478,9 +628,8 @@ class VectorizedSimulator:
                         p_rep[dead0], minlength=num_reps
                     )
                     keep0 = ~dead0
-                    p_rep, p_gpid = p_rep[keep0], p_gpid[keep0]
-                    pos, plen = pos[keep0], plen[keep0]
-                    chan0, qkey = chan0[keep0], qkey[keep0]
+                    p_rep, pos, plen = p_rep[keep0], pos[keep0], plen[keep0]
+                    qkey = qkey[keep0]
                 if cap is not None:
                     full = occ[qkey] >= cap
                     if full.any():
@@ -488,14 +637,13 @@ class VectorizedSimulator:
                             p_rep[full], minlength=num_reps
                         )
                         keep = ~full
-                        p_rep, p_gpid = p_rep[keep], p_gpid[keep]
-                        pos, plen = pos[keep], plen[keep]
-                        chan0, qkey = chan0[keep], qkey[keep]
+                        p_rep, pos, plen = p_rep[keep], pos[keep], plen[keep]
+                        qkey = qkey[keep]
                 count = p_rep.size
                 if count:
                     block = np.empty((count, _NUM_COLS), dtype=np.int64)
                     block[:, _REP] = p_rep
-                    block[:, _CHAN] = chan0
+                    block[:, _QKEY] = qkey
                     block[:, _SEQ] = seq_counter + np.arange(count)
                     seq_counter += count
                     block[:, _POS] = pos
@@ -506,29 +654,27 @@ class VectorizedSimulator:
                     occ += np.bincount(qkey, minlength=nq)
 
             np.maximum(
-                queue_peak,
-                occ.reshape(num_reps, c).max(axis=1),
-                out=queue_peak,
+                queue_peak, np.maximum.reduceat(occ, qbase), out=queue_peak
             )
 
             # -- phase 2: service ---------------------------------------
             size = packets.shape[0]
             if size == 0:
                 continue
-            if not self._integral_bandwidth:
-                bw_by_queue = np.tile(
-                    service_budgets(self._bandwidth_exact, cycle), num_reps
-                )
+            if not integral:
+                bw_by_queue = np.where(
+                    self._bw_integral,
+                    self._bw_round,
+                    service_budgets(self._bw_exact, cycle),
+                )[bw_index]
             if any_down:
                 # Down queues serve nothing this cycle; their packets
                 # (and the replicas' RNG history) are untouched.
                 bw_cycle = np.where(down, 0, bw_by_queue)
             else:
                 bw_cycle = bw_by_queue
-            qkey = packets[:, _REP] * c + packets[:, _CHAN]
-            popped = pop_selection(
-                qkey, packets[:, _SEQ], bw_cycle, compiled=compiled
-            )
+            qkey = packets[:, _QKEY]
+            popped = _pop_selection(qkey, packets[:, _SEQ], bw_cycle)
             if popped.size == 0:
                 continue
             occ -= np.bincount(qkey[popped], minlength=nq)
@@ -546,11 +692,13 @@ class VectorizedSimulator:
                     measured += np.bincount(
                         packets[hit, _REP], minlength=num_reps
                     )
+                    # int32 halves the sample's footprint in big
+                    # batches; latency_stats reads it as float anyway.
                     lat_blocks.append(
                         (
-                            packets[hit, _REP].copy(),
-                            cycle - packets[hit, _ITIME] + 1,
-                            packets[hit, _PLEN].copy(),
+                            packets[hit, _REP].astype(np.int32),
+                            (cycle + 1 - packets[hit, _ITIME]).astype(np.int32),
+                            packets[hit, _PLEN].astype(np.int32),
                         )
                     )
 
@@ -559,8 +707,10 @@ class VectorizedSimulator:
             lost_idx = np.zeros(0, dtype=np.int64)
             if movers.size:
                 packets[movers, _POS] = new_pos[~done]
-                next_chan = self._chan_flat[packets[movers, _POS]]
-                m_qkey = packets[movers, _REP] * c + next_chan
+                m_qkey = (
+                    qbase[packets[movers, _REP]]
+                    + self._chan_flat[packets[movers, _POS]]
+                )
                 m_dead = dead[m_qkey]
                 if m_dead.any():
                     # Dead next hop loses the packet before the
@@ -570,16 +720,13 @@ class VectorizedSimulator:
                         packets[lost_idx, _REP], minlength=num_reps
                     )
                     movers = movers[~m_dead]
-                    next_chan = next_chan[~m_dead]
                     m_qkey = m_qkey[~m_dead]
                 keep = np.ones(movers.size, dtype=bool)
                 if cap is not None and movers.size:
                     # Arrival order per queue decides who fills the
                     # remaining capacity, exactly as the reference's
                     # sequential appends do.
-                    keep = arrival_keep(
-                        m_qkey, occ, cap, compiled=compiled
-                    )
+                    keep = _arrival_keep(m_qkey, occ, cap)
                     drop_idx = movers[~keep]
                     if drop_idx.size:
                         dropped += np.bincount(
@@ -587,7 +734,7 @@ class VectorizedSimulator:
                         )
                 kept = movers[keep]
                 if kept.size:
-                    packets[kept, _CHAN] = next_chan[keep]
+                    packets[kept, _QKEY] = m_qkey[keep]
                     packets[kept, _SEQ] = seq_counter + np.arange(kept.size)
                     seq_counter += kept.size
                     occ += np.bincount(
@@ -614,10 +761,11 @@ class VectorizedSimulator:
         for i, rep in enumerate(replicas):
             mine = lat_rep == i
             stats = latency_stats(lat_val[mine], lat_hops[mine])
+            diag_mean = float(self._diag_mean[rep.table])
             results.append(
                 SimulationResult(
                     injection_rate=rep.injection_rate,
-                    offered_rate=rep.injection_rate * (1.0 - self._diag_mean),
+                    offered_rate=rep.injection_rate * (1.0 - diag_mean),
                     accepted_rate=int(measured[i]) / (window * n),
                     mean_latency=stats.mean_latency,
                     p99_latency=stats.p99_latency,
@@ -635,37 +783,8 @@ class VectorizedSimulator:
             )
         return results
 
-    def sweep(
-        self,
-        rates,
-        cycles: int = 2000,
-        warmup: int = 500,
-        seed: int = 0,
-        queue_capacity: int | None = None,
-        fault_schedule: tuple[tuple[int, int], ...] = (),
-        link_schedule: tuple[tuple[int, int, str], ...] = (),
-        compiled: bool = False,
-    ) -> list[SimulationResult]:
-        """Run every offered rate in one batched cycle loop.
-
-        A rate sweep is the special case of :meth:`run_replicas` where
-        every replica shares one seed and one pair of schedules.
-        """
-        return self.run_replicas(
-            [
-                Replica(float(r), seed, fault_schedule, link_schedule)
-                for r in rates
-            ],
-            cycles=cycles,
-            warmup=warmup,
-            queue_capacity=queue_capacity,
-            compiled=compiled,
-        )
-
     def run(
-        self,
-        config: SimulationConfig = SimulationConfig(),
-        compiled: bool = False,
+        self, config: SimulationConfig = SimulationConfig()
     ) -> SimulationResult:
         """Run one rate point (a single-replica :meth:`run_replicas`)."""
         (result,) = self.run_replicas(
@@ -673,7 +792,6 @@ class VectorizedSimulator:
             cycles=config.cycles,
             warmup=config.warmup,
             queue_capacity=config.queue_capacity,
-            compiled=compiled,
         )
         return result
 
@@ -681,11 +799,11 @@ class VectorizedSimulator:
 # ----------------------------------------------------------------------
 # Compiled-simulator cache and entry points
 # ----------------------------------------------------------------------
-#: algorithm -> {traffic digest -> VectorizedSimulator}; keyed weakly so
-#: compiled tables die with their algorithm object.
-_compiled: "weakref.WeakKeyDictionary[ObliviousRouting, dict]" = (
-    weakref.WeakKeyDictionary()
-)
+#: Attribute under which an algorithm object keeps its compiled
+#: simulators (traffic digest -> VectorizedSimulator).  Living on the
+#: algorithm, the tables die with it; a simulator references its
+#: algorithm, so a weak-keyed module cache would keep both alive forever.
+_SIM_CACHE_ATTR = "_compiled_simulators"
 
 
 def compiled_simulator(
@@ -696,7 +814,7 @@ def compiled_simulator(
     The cache is what lets ``saturation_throughput`` reuse one set of
     path tables across every bisection probe.
     """
-    per_alg = _compiled.setdefault(algorithm, {})
+    per_alg = vars(algorithm).setdefault(_SIM_CACHE_ATTR, {})
     digest = hash(np.asarray(traffic, dtype=np.float64).tobytes())
     sim = per_alg.get(digest)
     if sim is None:
@@ -723,12 +841,8 @@ def _span_attrs(result: SimulationResult) -> dict:
     return attrs
 
 
-def _backend_label(compiled: bool) -> str:
-    return "compiled" if compiled else "vectorized"
-
-
 def _emit_replica_spans(
-    replicas, results, elapsed: float, cycles: int, warmup: int, backend: str
+    replicas, results, elapsed: float, cycles: int, warmup: int
 ) -> None:
     """Per-replica ``sim.run`` spans and registry metrics for one batch.
 
@@ -743,7 +857,7 @@ def _emit_replica_spans(
             rate=float(rep.injection_rate),
             cycles=int(cycles),
             seed=int(rep.seed),
-            backend=backend,
+            backend="vectorized",
         )
         attrs.update(_span_attrs(result))
         tracer.emit_span("sim.run", dur=share, attrs=attrs)
@@ -756,8 +870,63 @@ def _emit_replica_spans(
                 seed=rep.seed,
             ),
             share,
-            backend=backend,
+            backend="vectorized",
         )
+
+
+def simulate_tables(
+    tables,
+    replicas,
+    cycles: int = 2000,
+    warmup: int = 500,
+    queue_capacity: int | None = None,
+    backend: str = DEFAULT_SIM_BACKEND,
+) -> list[SimulationResult]:
+    """Run a replica batch over several ``(algorithm, traffic)`` tables.
+
+    ``tables`` is a sequence of ``(algorithm, traffic)`` pairs over one
+    node set; each replica's ``table`` field indexes it.  The
+    ``vectorized`` backend stacks the pairs' cached compiled tables
+    (one ``sim.compile`` per pair, ever) and runs the whole batch as one
+    kernel launch inside a ``sim.batch`` span with replica-count-labeled
+    metrics; ``reference`` runs each replica as an individual per-packet
+    ``simulate`` call on its own pair — the differential oracle for the
+    batched kernel.  Results come back in replica order.
+    """
+    _check_backend(backend)
+    tables = list(tables)
+    replicas = _as_replicas(replicas)
+    if backend == "reference":
+        return [
+            simulate(
+                *tables[rep.table],
+                rep.to_config(cycles, warmup, queue_capacity),
+                backend="reference",
+            )
+            for rep in replicas
+        ]
+    sim = VectorizedSimulator.stack(
+        [compiled_simulator(alg, traffic) for alg, traffic in tables]
+    )
+    with obs.span(
+        "sim.batch",
+        replicas=len(replicas),
+        tables=len(tables),
+        cycles=int(cycles),
+        backend=backend,
+    ):
+        start = time.perf_counter()
+        results = sim.run_replicas(
+            replicas,
+            cycles=cycles,
+            warmup=warmup,
+            queue_capacity=queue_capacity,
+        )
+        elapsed = time.perf_counter() - start
+        _emit_replica_spans(replicas, results, elapsed, cycles, warmup)
+    obs.metric_count("sim.batches", backend=backend, replicas=len(replicas))
+    obs.metric_count("sim.replicas", len(replicas), backend=backend)
+    return results
 
 
 def simulate_replicas(
@@ -769,77 +938,45 @@ def simulate_replicas(
     queue_capacity: int | None = None,
     backend: str = DEFAULT_SIM_BACKEND,
 ) -> list[SimulationResult]:
-    """Run an arbitrary replica batch — one kernel launch on the batched
-    backends.
+    """Run an arbitrary replica batch on one ``(algorithm, traffic)``
+    pair — one kernel launch on the vectorized backend.
 
     ``replicas`` is a sequence of :class:`Replica` (or raw tuples fed to
-    its constructor); results come back in the same order.  The
-    ``vectorized`` and ``compiled`` backends share one compiled path
-    table and one cycle loop for the whole batch and emit a ``sim.batch``
-    span plus replica-count-labeled metrics; ``reference`` runs each
-    replica as an individual per-packet ``simulate`` call — the
-    differential oracle for the batched kernel.
+    its constructor); results come back in the same order.  This is the
+    one-table case of :func:`simulate_tables`.
     """
-    _check_backend(backend)
-    replicas = _as_replicas(replicas)
-    if backend == "reference":
-        return [
-            simulate(
-                algorithm,
-                traffic,
-                rep.to_config(cycles, warmup, queue_capacity),
-                backend="reference",
-            )
-            for rep in replicas
-        ]
-    label = backend
-    with obs.span(
-        "sim.batch",
-        replicas=len(replicas),
-        cycles=int(cycles),
-        backend=label,
-    ):
-        start = time.perf_counter()
-        results = compiled_simulator(algorithm, traffic).run_replicas(
-            replicas,
-            cycles=cycles,
-            warmup=warmup,
-            queue_capacity=queue_capacity,
-            compiled=backend == "compiled",
-        )
-        elapsed = time.perf_counter() - start
-        _emit_replica_spans(replicas, results, elapsed, cycles, warmup, label)
-    obs.metric_count("sim.batches", backend=label, replicas=len(replicas))
-    obs.metric_count("sim.replicas", len(replicas), backend=label)
-    return results
+    return simulate_tables(
+        [(algorithm, traffic)],
+        replicas,
+        cycles=cycles,
+        warmup=warmup,
+        queue_capacity=queue_capacity,
+        backend=backend,
+    )
 
 
 def simulate_vectorized(
     algorithm: ObliviousRouting,
     traffic: np.ndarray,
     config: SimulationConfig = SimulationConfig(),
-    compiled: bool = False,
 ) -> SimulationResult:
     """Vectorized-backend counterpart of :func:`repro.sim.simulate`.
 
     Emits the same ``sim.run`` span (plus ``backend=...``) so traces and
     ``obs-report`` rows keep one schema across backends.
     """
-    label = _backend_label(compiled)
     with obs.span(
         "sim.run",
         rate=float(config.injection_rate),
         cycles=int(config.cycles),
         seed=int(config.seed),
-        backend=label,
+        backend="vectorized",
     ) as sp:
         t0 = time.perf_counter()
-        result = compiled_simulator(algorithm, traffic).run(
-            config, compiled=compiled
-        )
+        result = compiled_simulator(algorithm, traffic).run(config)
         elapsed = time.perf_counter() - t0
         sp.set(**_span_attrs(result))
-    _record_sim_metrics(result, config, elapsed, backend=label)
+    _record_sim_metrics(result, config, elapsed, backend="vectorized")
     return result
 
 
@@ -853,7 +990,6 @@ def sweep_vectorized(
     queue_capacity: int | None = None,
     fault_schedule: tuple[tuple[int, int], ...] = (),
     link_schedule: tuple[tuple[int, int, str], ...] = (),
-    compiled: bool = False,
 ) -> list[SimulationResult]:
     """Batched offered-rate sweep (one compiled kernel, all rates).
 
@@ -866,13 +1002,12 @@ def sweep_vectorized(
     replicas = [
         Replica(float(r), seed, fault_schedule, link_schedule) for r in rates
     ]
-    label = _backend_label(compiled)
     with obs.span(
         "sim.sweep",
         points=len(replicas),
         cycles=int(cycles),
         seed=int(seed),
-        backend=label,
+        backend="vectorized",
     ):
         start = time.perf_counter()
         results = compiled_simulator(algorithm, traffic).run_replicas(
@@ -880,8 +1015,7 @@ def sweep_vectorized(
             cycles=cycles,
             warmup=warmup,
             queue_capacity=queue_capacity,
-            compiled=compiled,
         )
         elapsed = time.perf_counter() - start
-        _emit_replica_spans(replicas, results, elapsed, cycles, warmup, label)
+        _emit_replica_spans(replicas, results, elapsed, cycles, warmup)
     return results

@@ -10,7 +10,7 @@ docstring promises.
 import pytest
 
 from repro import obs
-from repro.routing import DimensionOrderRouting
+from repro.routing import IVAL, VAL, DimensionOrderRouting
 from repro.sim import (
     latency_load_curve,
     saturation_throughput,
@@ -19,7 +19,7 @@ from repro.sim import (
 )
 from repro.sim.measure import SaturationEstimate
 from repro.topology import Torus
-from repro.traffic import tornado, uniform
+from repro.traffic import tornado, transpose, uniform
 
 
 class TestSaturationEstimate:
@@ -35,12 +35,11 @@ class TestBisection:
         )
         assert 0.0 <= est.lower <= est.upper <= 1.0
 
-    @pytest.mark.parametrize("backend", ["reference", "compiled"])
-    def test_backends_bisect_identically(self, dor4, tornado4, backend):
+    def test_backends_bisect_identically(self, dor4, tornado4):
         kwargs = dict(iterations=3, cycles=1000, warmup=300, seed=9)
         vec = saturation_throughput(dor4, tornado4, backend="vectorized", **kwargs)
-        other = saturation_throughput(dor4, tornado4, backend=backend, **kwargs)
-        assert vec == other
+        ref = saturation_throughput(dor4, tornado4, backend="reference", **kwargs)
+        assert vec == ref
 
     def test_invalid_bounds_and_probe_counts_rejected(self, dor4, tornado4):
         with pytest.raises(ValueError, match="lo"):
@@ -136,6 +135,51 @@ class TestBatchedCases:
                 dor4, tornado4, fault_schedule=fs, link_schedule=ls, **kwargs
             )
             assert est == solo
+
+
+    def test_cases_with_own_tables_match_solo_brackets(self, t4):
+        # Each case carries its own (algorithm, traffic); pooling them
+        # must not change any bracket.  Fresh algorithm objects keep the
+        # compiled-table cache cold, so compiles are counted exactly.
+        def fresh_cases():
+            return [
+                ((), (), DimensionOrderRouting(t4), transpose(t4)),
+                ((), (), VAL(t4), uniform(t4.num_nodes)),
+                (((0, 3),), (), IVAL(t4), tornado(t4)),
+            ]
+
+        kwargs = dict(iterations=3, cycles=600, warmup=200, seed=3)
+        tracer = obs.get_tracer()
+        solo, solo_rounds = [], []
+        for fs, ls, alg, lam in fresh_cases():
+            mark = tracer.mark()
+            solo.append(
+                saturation_throughput(
+                    alg, lam, fault_schedule=fs, link_schedule=ls, **kwargs
+                )
+            )
+            (sat,) = _spans(tracer.events_since(mark), "sim.saturation")
+            solo_rounds.append(sat["attrs"]["launches"])
+        assert len(set(solo_rounds)) > 1  # the cases finish at different rounds
+
+        mark = tracer.mark()
+        pooled = saturation_throughput_batch(cases=fresh_cases(), **kwargs)
+        events = tracer.events_since(mark)
+        assert pooled == solo
+        # One compile per case, and one launch per round of the longest
+        # case's refinement — not one launch sequence per case.
+        assert len(_spans(events, "sim.compile")) == 3
+        (sat,) = _spans(events, "sim.saturation")
+        assert sat["attrs"]["launches"] == max(solo_rounds)
+        assert len(_spans(events, "sim.batch")) == max(solo_rounds)
+
+    def test_case_without_table_needs_batch_defaults(self):
+        with pytest.raises(ValueError, match="algorithm, traffic"):
+            saturation_throughput_batch(cases=[((), ())])
+
+
+def _spans(events, name):
+    return [e for e in events if e["ev"] == "span" and e["name"] == name]
 
 
 class TestEnsemblesAndSchedules:
