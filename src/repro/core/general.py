@@ -411,9 +411,9 @@ def design_general_worst_case(
 
     ``method`` selects the formulation (``"full"``, ``"colgen"``, or
     ``"auto"``, mirroring :func:`repro.core.worst_case.design_worst_case`)
-    and ``solver`` the SciPy ``linprog`` backend (``"highs-ipm"`` by
-    default for both formulations; dual simplex is an order of magnitude
-    slower on these CN^2-variable models).  ``colgen_tol`` /
+    and ``solver`` the HiGHS solver, named as a ``linprog`` method
+    (``"highs-ipm"`` by default for both formulations; dual simplex is an
+    order of magnitude slower on these CN^2-variable models).  ``colgen_tol`` /
     ``max_iterations`` override the loop's tolerance and iteration-cap
     constants.
     """

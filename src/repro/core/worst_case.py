@@ -26,11 +26,10 @@ full LP's :math:`O(N^2)` rows per class stop fitting.
 
 A second, lexicographic stage recovers maximum locality among the
 worst-case-optimal algorithms — the designs whose existence motivates
-IVAL and 2TURN (Section 5.2).  Under column generation the stage-2
-solve reuses the stage-1 master — all generated rows, and the cached
-constraint assembly, carry over — with ``w`` capped and the separation
-loop kept running, so the lexicographic answer is certified against
-the full permutation set too.
+IVAL and 2TURN (Section 5.2).  Stage 2 re-solves the stage-1 model in
+place with ``w`` capped.  Under column generation all generated
+rows carry over and the separation loop keeps running, so the
+lexicographic answer is certified against the full permutation set too.
 """
 
 from __future__ import annotations
@@ -582,8 +581,9 @@ def design_worst_case(
         Both formulations reach the same optimum; the differential
         suite pins them to each other at ``1e-9``.
     solver:
-        SciPy ``linprog`` backend; defaults to ``"highs-ipm"`` for the
-        full LP and ``"highs-ds"`` for column-generation masters.
+        HiGHS solver, named as a ``linprog`` method; defaults to
+        ``"highs-ipm"`` for the full LP and ``"highs-ds"`` for
+        column-generation masters.
     colgen_tol:
         Separation tolerance override
         (:data:`repro.constants.COLGEN_VIOLATION_TOL`).
@@ -614,7 +614,11 @@ def design_worst_case(
     wc_load = float(sol[w][0])
 
     if minimize_locality:
-        prob, w = _build(torus, group, locality_hops, locality_sense)
+        # Stage 2 re-solves the stage-1 model in place (cap w, swap the
+        # objective), so it runs at the re-solve primal tolerance.  A
+        # rebuilt model solved cold at the 1e-7 default left flows
+        # breaking conservation by ~1e-7 at k>=5, which the cached
+        # doc's recheck rejects.
         prob.model.set_bounds(
             w, ub=wc_load * (1 + LEXICOGRAPHIC_SLACK) + SOLVER_DUST
         )

@@ -1,12 +1,16 @@
 """Sparse linear-programming substrate.
 
 The paper solves its routing-design LPs with ILOG CPLEX (Section 5); this
-package is the stand-in solver layer, built on SciPy's HiGHS backend
-(``scipy.optimize.linprog``).  It provides
+package is the stand-in solver layer, built on the HiGHS solver SciPy
+bundles (``scipy.optimize._highspy``, SciPy >= 1.15).  It provides
 
 * :class:`~repro.lp.model.LinearModel` — an incremental model builder with
   named variable blocks and vectorized (COO triplet) constraint assembly,
-  sized for the :math:`O(CN)`-variable problems of Section 4;
+  sized for the :math:`O(CN)`-variable problems of Section 4.  Each model
+  keeps its HiGHS instance: the first solve is bit-identical to
+  ``scipy.optimize.linprog``, and a re-solve after appended ``<=`` rows or
+  a new objective or bounds pushes only the change, so simplex restarts
+  from the previous basis (column generation's restricted masters);
 * :class:`~repro.lp.model.VariableBlock` — an index handle for an
   n-dimensional block of decision variables;
 * :class:`~repro.lp.solve.LPSolution` — solved values, objective, duals;

@@ -7,6 +7,11 @@ to vectorize and avoid per-element work).  The routing-design LPs of the
 paper reach hundreds of thousands of rows and millions of nonzeros at
 paper scale (Section 4 puts the practical CPLEX limit at "a few million
 nonzero terms"); HiGHS handles the same sizes comfortably.
+
+A model solves through one HiGHS instance that it keeps (SciPy's bundled
+binding): later solves push only what changed, and simplex restarts from
+the previous basis, which makes column generation's many master re-solves
+cheap.
 """
 
 from __future__ import annotations
@@ -18,10 +23,60 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from repro import obs
+from repro.constants import COLGEN_VIOLATION_TOL
 from repro.lp.solve import LPError, LPSolution
+
+#: Oldest SciPy whose bundled HiGHS binding exposes ``_Highs``.
+SCIPY_FLOOR = "1.15"
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+
+    _highs._Highs
+except (ImportError, AttributeError) as exc:  # pragma: no cover - old SciPy
+    raise ImportError(
+        "repro.lp drives HiGHS through SciPy's bundled binding "
+        f"scipy.optimize._highspy._core._Highs; it needs scipy>={SCIPY_FLOOR}"
+    ) from exc
+
+#: ``linprog`` method name -> HiGHS ``solver`` option (``None``: HiGHS
+#: chooses).
+_SOLVERS = {"highs": None, "highs-ds": "simplex", "highs-ipm": "ipm"}
+
+#: ``linprog``'s post-solve feasibility tolerance, ``sqrt(1e-9) * 10``.
+_CHECK_TOL = math.sqrt(1e-9) * 10
+
+
+def _first_solve_options(method: str):
+    """The HiGHS options ``linprog(method=method)`` sets."""
+    yield "presolve", "on"
+    if _SOLVERS[method] is not None:
+        yield "solver", _SOLVERS[method]
+    yield "highs_debug_level", int(_highs.HighsDebugLevel.kHighsDebugLevelNone)
+    yield "log_to_console", False
+    yield "output_flag", False
+    yield "simplex_strategy", int(
+        _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    )
+
+
+@dataclasses.dataclass
+class _Held:
+    """A model's HiGHS instance and what it holds: sizes at load time, how
+    many ``<=`` batches it has, and the objective and bounds it last got."""
+
+    highs: object
+    num_vars: int
+    eq_rows: int
+    first_ub_rows: int
+    ub_batches: int
+    cost: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+
 
 #: Post-solve observer: called as ``hook(model, solution, assembled)``
 #: after every successful solve, where ``assembled`` is the
@@ -96,10 +151,7 @@ class LinearModel:
         self._num_ub_rows = 0
         self._obj_cols: list[np.ndarray] = []
         self._obj_vals: list[np.ndarray] = []
-        # Incremental-assembly cache: stacked CSR + rhs per section, with
-        # the batch/variable counts it covers.  Re-solving after appending
-        # rows (column generation) only stacks the new batches.
-        self._asm_cache: dict[str, tuple] = {}
+        self._held: _Held | None = None
 
     # ------------------------------------------------------------------
     # Variables
@@ -242,55 +294,187 @@ class LinearModel:
         self._obj_cols.append(cols)
         self._obj_vals.append(vals)
 
-    def _assemble(self):
+    def _objective(self) -> np.ndarray:
         c = np.zeros(self._num_vars)
         if self._obj_cols:
             np.add.at(
                 c, np.concatenate(self._obj_cols), np.concatenate(self._obj_vals)
             )
+        return c
 
-        def stack(key, batches, rhs_parts, nrows):
-            if nrows == 0:
-                return None, None
-            cached = self._asm_cache.get(key)
-            done = 0
-            mat = rhs = None
-            if cached is not None and cached[3] == self._num_vars:
-                mat, rhs, done, _ = cached
-            if done < len(batches):
-                rows = np.concatenate([b[0] for b in batches[done:]])
-                cols = np.concatenate([b[1] for b in batches[done:]])
-                vals = np.concatenate([b[2] for b in batches[done:]])
-                rows -= int(mat.shape[0]) if mat is not None else 0
-                fresh = sp.csr_matrix(
-                    (vals, (rows, cols)),
-                    shape=(nrows - (mat.shape[0] if mat is not None else 0),
-                           self._num_vars),
-                )
-                fresh_rhs = np.concatenate(rhs_parts[done:])
-                if mat is None:
-                    mat, rhs = fresh, fresh_rhs
-                else:
-                    mat = sp.vstack([mat, fresh], format="csr")
-                    rhs = np.concatenate([rhs, fresh_rhs])
-                self._asm_cache[key] = (mat, rhs, len(batches), self._num_vars)
-            return mat, rhs
+    def _stack(self, batches, rhs_parts, first_batch: int = 0):
+        """CSR matrix and rhs of one section's batches from ``first_batch`` on
+        (``None, None`` when they hold no rows)."""
+        first_row = sum(r.shape[0] for r in rhs_parts[:first_batch])
+        batches, rhs_parts = batches[first_batch:], rhs_parts[first_batch:]
+        nrows = sum(r.shape[0] for r in rhs_parts)
+        if nrows == 0:
+            return None, None
+        rows = np.concatenate([b[0] for b in batches]) - first_row
+        cols = np.concatenate([b[1] for b in batches])
+        vals = np.concatenate([b[2] for b in batches])
+        mat = sp.csr_matrix((vals, (rows, cols)), shape=(nrows, self._num_vars))
+        return mat, np.concatenate(rhs_parts)
 
-        a_eq, b_eq = stack("eq", self._eq_batches, self._eq_rhs, self._num_eq_rows)
-        a_ub, b_ub = stack("ub", self._ub_batches, self._ub_rhs, self._num_ub_rows)
-        return c, a_ub, b_ub, a_eq, b_eq, np.column_stack([self._lb, self._ub])
+    def _assemble(self):
+        """The model as ``(c, a_ub, b_ub, a_eq, b_eq, bounds)`` — the
+        arguments ``scipy.optimize.linprog`` would take."""
+        a_ub, b_ub = self._stack(self._ub_batches, self._ub_rhs)
+        a_eq, b_eq = self._stack(self._eq_batches, self._eq_rhs)
+        bounds = np.column_stack([self._lb, self._ub])
+        return self._objective(), a_ub, b_ub, a_eq, b_eq, bounds
+
+    def _load(self, method: str):
+        """Pass the whole model to a fresh HiGHS instance; returns the
+        :meth:`_assemble` tuple it was built from.
+
+        The instance gets exactly what ``linprog`` would build — ``<=``
+        rows then equality rows, column-wise, with ``linprog``'s options —
+        so a first solve is bit-identical to ``linprog``'s.
+        """
+        n = self._num_vars
+        assembled = self._assemble()
+        c, a_ub, b_ub, a_eq, b_eq, _ = assembled
+        b_ub = np.zeros(0) if b_ub is None else b_ub
+        b_eq = np.zeros(0) if b_eq is None else b_eq
+        blocks = [a for a in (a_ub, a_eq) if a is not None]
+        a = (
+            sp.vstack(blocks, format="csc") if blocks else sp.csc_matrix((0, n))
+        )
+        lp = _highs.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = n
+        lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.col_cost_ = c
+        lp.col_lower_ = self._lb
+        lp.col_upper_ = self._ub
+        lp.row_lower_ = np.concatenate([np.full(b_ub.shape[0], -np.inf), b_eq])
+        lp.row_upper_ = np.concatenate([b_ub, b_eq])
+        lp.a_matrix_.start_ = a.indptr
+        lp.a_matrix_.index_ = a.indices
+        lp.a_matrix_.value_ = a.data
+        highs = _highs._Highs()
+        for option, value in _first_solve_options(method):
+            highs.setOptionValue(option, value)
+        highs.passModel(lp)
+        self._held = _Held(
+            highs=highs,
+            num_vars=n,
+            eq_rows=self._num_eq_rows,
+            first_ub_rows=self._num_ub_rows,
+            ub_batches=len(self._ub_batches),
+            cost=c,
+            lb=self._lb.copy(),
+            ub=self._ub.copy(),
+        )
+        return assembled
+
+    def _push_changes(self) -> None:
+        """Bring the held HiGHS model up to date with new ``<=`` rows and
+        objective and bound changes only, keeping its basis."""
+        held = self._held
+        highs = held.highs
+        a_new, b_new = self._stack(
+            self._ub_batches, self._ub_rhs, first_batch=held.ub_batches
+        )
+        if a_new is not None:
+            highs.addRows(
+                a_new.shape[0],
+                np.full(a_new.shape[0], -np.inf),
+                b_new,
+                a_new.nnz,
+                a_new.indptr[:-1].astype(np.int32),
+                a_new.indices.astype(np.int32),
+                a_new.data,
+            )
+        held.ub_batches = len(self._ub_batches)
+        c = self._objective()
+        cols = np.flatnonzero(c != held.cost).astype(np.int32)
+        if cols.size:
+            highs.changeColsCost(cols.size, cols, c[cols])
+            held.cost = c
+        cols = np.flatnonzero(
+            (self._lb != held.lb) | (self._ub != held.ub)
+        ).astype(np.int32)
+        if cols.size:
+            highs.changeColsBounds(cols.size, cols, self._lb[cols], self._ub[cols])
+            held.lb, held.ub = self._lb.copy(), self._ub.copy()
+        # Re-solves tighten the primal tolerance to the separation
+        # tolerance (HiGHS's minimum): at the 1e-7 default a warm vertex
+        # can violate its own rows by more than separation allows, and
+        # column generation would re-propose rows the master already holds.
+        highs.setOptionValue("primal_feasibility_tolerance", COLGEN_VIOLATION_TOL)
+
+    def _run(self):
+        """Run HiGHS; ``(status, message, iterations, solution-or-None)``
+        with SciPy's status codes and ``linprog``'s feasibility re-check."""
+        held = self._held
+        highs = held.highs
+        highs.run()
+        model_status = highs.getModelStatus()
+        info = highs.getInfo()
+        iterations = int(info.simplex_iteration_count or info.ipm_iteration_count)
+        status, message = _highs_to_scipy_status_message(
+            model_status, highs.modelStatusToString(model_status)
+        )
+        if status != 0:
+            return status, message, iterations, None
+        result = highs.getSolution()
+        x = np.array(result.col_value)
+        row_value = np.array(result.row_value)
+        row_dual = np.array(result.row_dual)
+        # HiGHS rows: the <= rows present at load, the equality rows,
+        # then every <= row appended since.
+        k, e = held.first_ub_rows, held.eq_rows
+        ub_rows = np.r_[0:k, k + e : row_value.shape[0]]
+        b_ub = np.concatenate(self._ub_rhs) if self._ub_rhs else np.zeros(0)
+        b_eq = np.concatenate(self._eq_rhs) if self._eq_rhs else np.zeros(0)
+        tol = _CHECK_TOL
+        if not (
+            np.all(np.isfinite(x))
+            and np.all((x >= self._lb - tol) & (x <= self._ub + tol))
+            and np.all(b_ub - row_value[ub_rows] >= -tol)
+            and np.all(np.abs(b_eq - row_value[k : k + e]) <= tol)
+        ):
+            message = f"The solution violates the constraints by over {tol:.2E}."
+            return 4, message, iterations, None
+        solution = LPSolution(
+            objective=float(info.objective_function_value),
+            x=x,
+            eq_duals=row_dual[k : k + e] if e else None,
+            ub_duals=row_dual[ub_rows] if ub_rows.size else None,
+            iterations=iterations,
+        )
+        return status, message, iterations, solution
 
     def solve(self, method: str = "highs", attrs: dict | None = None) -> LPSolution:
         """Solve the model; raise :class:`LPError` unless optimal.
 
-        ``attrs`` adds extra attributes to the ``lp.solve`` span —
-        column generation tags every master re-solve with its iteration
-        and generated-row count, so traces show the loop's shape.
-        Re-solving after appending rows reuses the cached constraint
-        assembly and only stacks the new batches (the warm-start path).
+        ``method`` picks the HiGHS solver as ``linprog`` does
+        (``"highs"``, ``"highs-ds"`` or ``"highs-ipm"``); the first solve
+        is bit-identical to ``linprog``'s.  The model keeps its HiGHS
+        instance: a re-solve after appending ``<=`` rows, changing the
+        objective or changing bounds pushes only that change (the span's
+        ``warm`` attr).  Simplex then restarts from the previous basis;
+        interior point solves the held model afresh.  A model that gained
+        variables or equality rows since is passed again whole, and later
+        ``method`` values are ignored until then.  ``attrs`` adds extra
+        attributes to the ``lp.solve`` span — column generation tags every
+        master re-solve with its iteration and generated-row count, so
+        traces show the loop's shape.
         """
+        if method not in _SOLVERS:
+            raise ValueError(
+                f"unknown LP method {method!r}; choose from {tuple(_SOLVERS)}"
+            )
         stats = self.stats()
         t0 = time.perf_counter()
+        held = self._held
+        warm = (
+            held is not None
+            and held.num_vars == self._num_vars
+            and held.eq_rows == self._num_eq_rows
+        )
         with obs.span(
             "lp.solve",
             model=self.name,
@@ -298,23 +482,18 @@ class LinearModel:
             rows=stats["eq_rows"] + stats["ub_rows"],
             cols=stats["variables"],
             nnz=stats["nonzeros"],
+            warm=warm,
             **(attrs or {}),
         ) as sp_solve:
-            c, a_ub, b_ub, a_eq, b_eq, bounds = self._assemble()
-            res = linprog(
-                c,
-                A_ub=a_ub,
-                b_ub=b_ub,
-                A_eq=a_eq,
-                b_eq=b_eq,
-                bounds=bounds,
-                method=method,
-            )
-            sp_solve.set(
-                status=int(res.status), iterations=int(getattr(res, "nit", 0))
-            )
-        obs.metric_count("lp.solves", status=int(res.status))
-        obs.metric_count("lp.iterations", int(getattr(res, "nit", 0)))
+            assembled = None
+            if warm:
+                self._push_changes()
+            else:
+                assembled = self._load(method)
+            status, message, iterations, solution = self._run()
+            sp_solve.set(status=status, iterations=iterations)
+        obs.metric_count("lp.solves", status=status)
+        obs.metric_count("lp.iterations", iterations)
         obs.metric_observe("lp.nonzeros", stats["nonzeros"])
         obs.metric_observe(
             "lp.rows", stats["eq_rows"] + stats["ub_rows"]
@@ -322,21 +501,10 @@ class LinearModel:
         obs.metric_observe(
             "lp.solve_seconds", time.perf_counter() - t0, volatile=True
         )
-        if res.status != 0:
-            raise LPError(res.status, res.message, model=self.name, stats=stats)
-        solution = LPSolution(
-            objective=float(res.fun),
-            x=np.asarray(res.x, dtype=np.float64),
-            eq_duals=(
-                np.asarray(res.eqlin.marginals) if a_eq is not None else None
-            ),
-            ub_duals=(
-                np.asarray(res.ineqlin.marginals) if a_ub is not None else None
-            ),
-            iterations=int(getattr(res, "nit", 0)),
-        )
+        if status != 0:
+            raise LPError(status, message, model=self.name, stats=stats)
         if _SOLVE_OBSERVER is not None:
-            _SOLVE_OBSERVER(self, solution, (c, a_ub, b_ub, a_eq, b_eq, bounds))
+            _SOLVE_OBSERVER(self, solution, assembled or self._assemble())
         return solution
 
     def stats(self) -> dict:

@@ -15,6 +15,10 @@ about 1.61x minimal on the 8-ary 2-cube.
 
 from __future__ import annotations
 
+from functools import cached_property
+
+import numpy as np
+
 from repro.routing import paths as pathmod
 from repro.routing.base import ObliviousRouting
 from repro.routing.dor import DimensionOrderRouting
@@ -78,6 +82,30 @@ class Valiant(ObliviousRouting):
                         path = pathmod.remove_loops(path)
                     acc[path] = acc.get(path, 0.0) + q1 * q2 / n
         return list(acc.items())
+
+    @cached_property
+    def canonical_flows(self) -> np.ndarray:
+        # Without loop removal a path is a phase-1 path to a uniform
+        # intermediate m plus the phase-2 path from m, so flows are the
+        # convolution x[d] = (1/N) sum_m (x1[m] + shift_m(x2[d - m])),
+        # row 0 zero.  Loop removal is not linear: IVAL enumerates.
+        if self._remove_loops:
+            return super().canonical_flows
+        group = self._translation_group
+        n, c = self.network.num_nodes, self.network.num_channels
+        # Each nonzero x2[t, ch] lands on row m + t, channel ch + m, for
+        # every intermediate m.
+        t, ch = np.nonzero(self._phase2.canonical_flows)
+        cells = group.node_sum[:, t] * c + group.chan_shift[ch].T
+        weights = np.broadcast_to(self._phase2.canonical_flows[t, ch], cells.shape)
+        flows = np.bincount(
+            cells.ravel(), weights=weights.ravel(), minlength=n * c
+        ).reshape(n, c)
+        flows += self._phase1.canonical_flows.sum(axis=0)
+        flows /= n
+        flows[0] = 0.0
+        flows.setflags(write=False)
+        return flows
 
 
 def VAL(torus: Torus) -> Valiant:

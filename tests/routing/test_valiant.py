@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.routing import IVAL, VAL
+from repro.routing.base import ObliviousRouting
+from repro.routing.valiant import Valiant
 from repro.routing.paths import count_turns, path_length
 from repro.topology import Torus
 
@@ -103,4 +105,37 @@ class TestValiantVariants:
         assert (
             ival6.average_path_length()
             <= plain_removed.average_path_length() + 1e-12
+        )
+
+
+class TestConvolvedFlows:
+    """VAL's flows are computed by convolving its two DOR phases; they
+    must equal the path-enumeration flows of the base class."""
+
+    @pytest.mark.parametrize(
+        "torus",
+        [
+            Torus(3, 2),
+            Torus(4, 2),
+            Torus(5, 2),
+            Torus(3, 3),
+            Torus(4, 3, bandwidths=(1.0, 1.0, 0.5)),
+            Torus(5, 2, bandwidths=(2.0, 1.0)),
+        ],
+        ids=["3x3", "4x4", "5x5", "3x3x3", "4x4x4-hetero", "5x5-hetero"],
+    )
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_enumeration(self, torus, reverse):
+        alg = Valiant(torus, reverse_second_phase=reverse)
+        enumerated = ObliviousRouting.canonical_flows.func(alg)
+        np.testing.assert_allclose(
+            alg.canonical_flows, enumerated, rtol=1e-12, atol=1e-15
+        )
+        assert not alg.canonical_flows[0].any()
+
+    def test_ival_still_enumerates(self):
+        torus = Torus(4, 2)
+        alg = IVAL(torus)
+        np.testing.assert_array_equal(
+            alg.canonical_flows, ObliviousRouting.canonical_flows.func(alg)
         )

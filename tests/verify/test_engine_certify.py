@@ -8,7 +8,7 @@ import pytest
 
 from repro.cache import DesignCache, cache_key
 from repro.experiments.engine import DesignTask, Engine
-from repro.verify import Certificate, CertificationError
+from repro.verify import Certificate, CertificationError, recheck_cached_doc
 
 
 @pytest.fixture(autouse=True)
@@ -61,6 +61,15 @@ class TestCertifiedSolve:
         engine.run_one(_task())
         result = engine.run_one(_task())
         assert result.cache_hit
+
+    def test_lexicographic_wc_opt_rechecks(self, cache):
+        # The full-LP lexicographic stage re-solves stage 1's model in
+        # place; a cold rebuild solved by IPM left flows whose conservation
+        # residual (5.5e-8 at k=5) failed the cached doc's recheck.
+        task = DesignTask(kind="wc_opt", k=5, label="wc_opt-k5")
+        Engine(jobs=1, cache=cache, certify=True).run_one(task)
+        report = recheck_cached_doc(cache.get(cache_key(task.cache_payload())))
+        assert report.passed, report.render()
 
 
 class TestCorruptedCache:
