@@ -55,6 +55,7 @@ def solve_capacity(
             0.0,
         )
     prob.model.set_objective(gamma.indices(), [1.0])
+    prob.declare_point_symmetry()
     sol = prob.model.solve()
     return CapacityResult(load=float(sol[gamma][0]), flows=prob.flows_from(sol))
 

@@ -13,6 +13,16 @@ Restricting to translation-invariant algorithms loses nothing: all cost
 functions in the paper are convex and translation-invariant, so
 averaging any solution over the translation group preserves feasibility
 and never increases cost (the symmetry argument of Section 4).
+
+The same argument applies to the torus point group (the signed
+coordinate permutations fixing node 0,
+:func:`~repro.topology.symmetry.stabilizer_maps`).  A design model whose
+objective, bounds and constraints it permutes among themselves —
+capacity and the worst-case LP (8), with or without a locality pin —
+declares it (:meth:`CanonicalFlowProblem.declare_point_symmetry`), and
+the LP layer solves the orbit quotient and lifts the optimum and its
+certificate back (:mod:`repro.lp.quotient`).  Sampled average-case
+models do not declare: their sample breaks the symmetry.
 """
 
 from __future__ import annotations
@@ -20,8 +30,41 @@ from __future__ import annotations
 import numpy as np
 
 from repro.lp import LinearModel, VariableBlock
-from repro.topology.symmetry import TranslationGroup
+from repro.topology.symmetry import TranslationGroup, point_group_generators
 from repro.topology.torus import Torus
+
+
+def declare_point_group(model, torus, potentials, images) -> bool:
+    """Declare the torus point group on a design model, so it solves on
+    its orbit quotient; returns whether it was declared.
+
+    Declares :func:`~repro.topology.symmetry.point_group_generators`
+    (bandwidth-preserving, so heterogeneous tori are covered).  The
+    matching potentials ``u[rep][s]``, ``v[rep][d]`` of LP (8) (the
+    ``(rep, u, v)`` blocks in ``potentials``) move to
+    ``u[g(rep)][g(s)]``, ``v[g(rep)][g(d)]``; ``images(g)`` gives
+    ``(cols, image_cols)`` for the formulation's own routing variables,
+    or ``None`` when map ``g`` does not carry them onto themselves; every
+    other column is fixed.  The LP layer checks that the model really is
+    invariant.  Other Cayley topologies (the hypercube) solve unreduced.
+    Call after the last constraint that involves new variables.
+    """
+    if not isinstance(torus, Torus):
+        return False
+    maps = point_group_generators(torus)
+    out = np.tile(np.arange(model.num_variables), (len(maps), 1))
+    by_rep = {rep: (u, v) for rep, u, v in potentials}
+    for i, g in enumerate(maps):
+        own = images(g)
+        if own is None:
+            return False
+        out[i, own[0]] = own[1]
+        for rep, u, v in potentials:
+            u_img, v_img = by_rep[int(g.channel_map[rep])]
+            out[i, u.indices()] = u_img.offset + g.node_map
+            out[i, v.indices()] = v_img.offset + g.node_map
+    model.declare_symmetry(out)
+    return True
 
 
 class CanonicalFlowProblem:
@@ -50,6 +93,8 @@ class CanonicalFlowProblem:
         n, c = torus.num_nodes, torus.num_channels
         #: flow variables x[t, c] for canonical commodities (0, t)
         self.x: VariableBlock = self.model.add_variables("flow", (n, c))
+        #: ``(rep, u, v)`` potential blocks of :meth:`worst_case_constraints`
+        self.potentials: list[tuple[int, VariableBlock, VariableBlock]] = []
         # commodity 0 -> 0 carries no flow
         self.model.fix_variables(self.x.indices()[0], 0.0)
         self._add_conservation()
@@ -144,6 +189,7 @@ class CanonicalFlowProblem:
             rep = int(rep)
             u = model.add_variables(f"u[{rep}]", n, lb=-np.inf)
             v = model.add_variables(f"v[{rep}]", n, lb=-np.inf)
+            self.potentials.append((rep, u, v))
 
             # constraint grid over (s, t): d = s + t
             s_grid = np.repeat(np.arange(n), n)
@@ -214,6 +260,18 @@ class CanonicalFlowProblem:
                 np.concatenate([vals.ravel().astype(float), m_vals]),
                 np.zeros(c),
             )
+
+    def declare_point_symmetry(self) -> None:
+        """Declare the torus point group on the model
+        (:func:`declare_point_group`): flow ``x[t, c]`` maps to
+        ``x[g(t), g(c)]``."""
+        flow = self.x.indices()
+        declare_point_group(
+            self.model,
+            self.torus,
+            self.potentials,
+            lambda g: (flow.ravel(), flow[g.node_map][:, g.channel_map].ravel()),
+        )
 
     # ------------------------------------------------------------------
     def flows_from(self, solution) -> np.ndarray:

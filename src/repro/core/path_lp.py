@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import FEASIBILITY_ATOL
+from repro.core.flows import declare_point_group
 from repro.lp import LinearModel, VariableBlock
 from repro.routing.paths import Path, path_channels
 from repro.topology.symmetry import TranslationGroup
@@ -94,6 +95,8 @@ class PathSetLP:
         self.weights: VariableBlock = self.model.add_variables(
             "R", len(paths)
         )
+        #: ``(rep, u, v)`` potential blocks of :meth:`add_worst_case`
+        self.potentials: list[tuple[int, VariableBlock, VariableBlock]] = []
         # sum_{p in P_{0,t}} R(p) = 1 for every destination
         dest_row = {
             t: i for i, t in enumerate(sorted(set(self.dest.tolist())))
@@ -143,6 +146,7 @@ class PathSetLP:
             rep = int(rep)
             u = model.add_variables(f"u[{rep}]", n, lb=-np.inf)
             v = model.add_variables(f"v[{rep}]", n, lb=-np.inf)
+            self.potentials.append((rep, u, v))
 
             rows_parts, cols_parts, vals_parts = [], [], []
             rep_node, rep_cls = rep // ncls, rep % ncls
@@ -204,6 +208,22 @@ class PathSetLP:
                 np.concatenate(vals_parts),
                 np.zeros(c),
             )
+
+    def declare_point_symmetry(self) -> bool:
+        """Declare the torus point group on the model
+        (:func:`~repro.core.flows.declare_point_group`) if the path set is
+        closed under it, path ``p`` mapping to ``g(p)``; returns whether
+        it was declared."""
+        pid = {p: i for i, p in enumerate(self.paths)}
+
+        def images(g):
+            node = g.node_map.tolist()
+            image = [pid.get(tuple(node[v] for v in p)) for p in self.paths]
+            if None in image:
+                return None
+            return self.weights.indices(), self.weights.offset + np.asarray(image)
+
+        return declare_point_group(self.model, self.torus, self.potentials, images)
 
     # ------------------------------------------------------------------
     def table_from(

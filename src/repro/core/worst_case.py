@@ -214,6 +214,7 @@ def _build(
     prob.worst_case_constraints((int(w.indices()[0]), 1.0))
     if locality_hops is not None:
         prob.add_locality_constraint(locality_hops, locality_sense)
+    prob.declare_point_symmetry()
     return prob, w
 
 

@@ -10,7 +10,12 @@ bundles (``scipy.optimize._highspy``, SciPy >= 1.15).  It provides
   keeps its HiGHS instance: the first solve is bit-identical to
   ``scipy.optimize.linprog``, and a re-solve after appended ``<=`` rows or
   a new objective or bounds pushes only the change, so simplex restarts
-  from the previous basis (column generation's restricted masters);
+  from the previous basis (column generation's restricted masters).  A
+  formulation may declare column permutations its model is invariant
+  under (:meth:`~repro.lp.model.LinearModel.declare_symmetry`): the model
+  is then checked and solved on its orbit quotient
+  (:mod:`repro.lp.quotient`), and the solution, duals and certificates are
+  lifted back to the full model;
 * :class:`~repro.lp.model.VariableBlock` — an index handle for an
   n-dimensional block of decision variables;
 * :class:`~repro.lp.solve.LPSolution` — solved values, objective, duals;

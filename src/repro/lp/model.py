@@ -12,6 +12,12 @@ A model solves through one HiGHS instance that it keeps (SciPy's bundled
 binding): later solves push only what changed, and simplex restarts from
 the previous basis, which makes column generation's many master re-solves
 cheap.
+
+A formulation whose model is invariant under column permutations (the
+torus point group acting on a design LP) declares them with
+:meth:`LinearModel.declare_symmetry`; HiGHS then holds the much smaller
+orbit quotient (:mod:`repro.lp.quotient`), and solutions, duals and the
+solve observer's certificates are lifted back to the full model.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import scipy.sparse as sp
 
 from repro import obs
 from repro.constants import COLGEN_VIOLATION_TOL
+from repro.lp.quotient import Orbits
 from repro.lp.solve import LPError, LPSolution
 
 #: Oldest SciPy whose bundled HiGHS binding exposes ``_Highs``.
@@ -66,7 +73,8 @@ def _first_solve_options(method: str):
 @dataclasses.dataclass
 class _Held:
     """A model's HiGHS instance and what it holds: sizes at load time, how
-    many ``<=`` batches it has, and the objective and bounds it last got."""
+    many ``<=`` batches it has, the objective and bounds it last got (the
+    quotient's, under a declared symmetry) and the model's orbits."""
 
     highs: object
     num_vars: int
@@ -76,6 +84,7 @@ class _Held:
     cost: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
+    orbits: Orbits | None = None
 
 
 #: Post-solve observer: called as ``hook(model, solution, assembled)``
@@ -151,6 +160,7 @@ class LinearModel:
         self._num_ub_rows = 0
         self._obj_cols: list[np.ndarray] = []
         self._obj_vals: list[np.ndarray] = []
+        self._symmetry: np.ndarray | None = None
         self._held: _Held | None = None
 
     # ------------------------------------------------------------------
@@ -210,6 +220,29 @@ class LinearModel:
         values = np.broadcast_to(np.asarray(values, dtype=np.float64), cols.shape)
         self._lb[cols] = values
         self._ub[cols] = values
+
+    def declare_symmetry(self, column_maps) -> None:
+        """Declare column permutations the model is invariant under.
+
+        ``column_maps[g, j]`` is the image of column ``j`` under map
+        ``g``; variables added later are fixed by every map.  Each solve
+        that loads the model checks that every map carries the objective,
+        the bounds and the rows with their rhs onto themselves (raising
+        ``ValueError`` otherwise) and passes HiGHS the orbit quotient;
+        appended rows reload it.  For use by formulations that know their
+        model's symmetry — the solution is an optimum of the full model
+        either way.
+        """
+        maps = np.asarray(column_maps, dtype=np.int64)
+        n = self._num_vars
+        if maps.ndim != 2 or maps.shape[1] != n or not np.array_equal(
+            np.sort(maps, axis=1), np.broadcast_to(np.arange(n), maps.shape)
+        ):
+            raise ValueError(
+                f"column maps must be permutations of the model's {n} columns"
+            )
+        self._symmetry = maps
+        self._held = None
 
     # ------------------------------------------------------------------
     # Constraints
@@ -324,30 +357,46 @@ class LinearModel:
         bounds = np.column_stack([self._lb, self._ub])
         return self._objective(), a_ub, b_ub, a_eq, b_eq, bounds
 
+    def _column_maps(self) -> np.ndarray:
+        """The declared maps over the current columns (later ones fixed)."""
+        maps = self._symmetry
+        extra = np.arange(maps.shape[1], self._num_vars)
+        return np.hstack([maps, np.broadcast_to(extra, (maps.shape[0], extra.size))])
+
     def _load(self, method: str):
         """Pass the whole model to a fresh HiGHS instance; returns the
         :meth:`_assemble` tuple it was built from.
 
-        The instance gets exactly what ``linprog`` would build — ``<=``
-        rows then equality rows, column-wise, with ``linprog``'s options —
-        so a first solve is bit-identical to ``linprog``'s.
+        Without a declared symmetry the instance gets exactly what
+        ``linprog`` would build — ``<=`` rows then equality rows,
+        column-wise, with ``linprog``'s options — so a first solve is
+        bit-identical to ``linprog``'s.  With one it gets the checked
+        orbit quotient of that model, with the same options.
         """
         n = self._num_vars
         assembled = self._assemble()
         c, a_ub, b_ub, a_eq, b_eq, _ = assembled
         b_ub = np.zeros(0) if b_ub is None else b_ub
         b_eq = np.zeros(0) if b_eq is None else b_eq
-        blocks = [a for a in (a_ub, a_eq) if a is not None]
-        a = (
-            sp.vstack(blocks, format="csc") if blocks else sp.csc_matrix((0, n))
-        )
+        orbits = None
+        if self._symmetry is not None:
+            orbits = Orbits.of(self._column_maps(), assembled)
+            cost, lb, ub = orbits.columns(c, self._lb, self._ub)
+            a = orbits.matrix(a_ub, a_eq)
+            b_ub, b_eq = b_ub[orbits.ub.rep], b_eq[orbits.eq.rep]
+        else:
+            cost, lb, ub = c, self._lb, self._ub
+            blocks = [a for a in (a_ub, a_eq) if a is not None]
+            a = (
+                sp.vstack(blocks, format="csc") if blocks else sp.csc_matrix((0, n))
+            )
         lp = _highs.HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = n
+        lp.num_col_ = lp.a_matrix_.num_col_ = cost.shape[0]
         lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
         lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        lp.col_cost_ = c
-        lp.col_lower_ = self._lb
-        lp.col_upper_ = self._ub
+        lp.col_cost_ = cost
+        lp.col_lower_ = lb
+        lp.col_upper_ = ub
         lp.row_lower_ = np.concatenate([np.full(b_ub.shape[0], -np.inf), b_eq])
         lp.row_upper_ = np.concatenate([b_ub, b_eq])
         lp.a_matrix_.start_ = a.indptr
@@ -363,15 +412,18 @@ class LinearModel:
             eq_rows=self._num_eq_rows,
             first_ub_rows=self._num_ub_rows,
             ub_batches=len(self._ub_batches),
-            cost=c,
-            lb=self._lb.copy(),
-            ub=self._ub.copy(),
+            cost=cost,
+            lb=lb.copy(),
+            ub=ub.copy(),
+            orbits=orbits,
         )
         return assembled
 
     def _push_changes(self) -> None:
         """Bring the held HiGHS model up to date with new ``<=`` rows and
-        objective and bound changes only, keeping its basis."""
+        objective and bound changes only, keeping its basis (a declared
+        symmetry gets only the quotient's changes, after checking that
+        they keep the model invariant)."""
         held = self._held
         highs = held.highs
         a_new, b_new = self._stack(
@@ -388,17 +440,17 @@ class LinearModel:
                 a_new.data,
             )
         held.ub_batches = len(self._ub_batches)
-        c = self._objective()
+        c, lb, ub = self._objective(), self._lb, self._ub
+        if held.orbits is not None:
+            c, lb, ub = held.orbits.columns(c, lb, ub)
         cols = np.flatnonzero(c != held.cost).astype(np.int32)
         if cols.size:
             highs.changeColsCost(cols.size, cols, c[cols])
             held.cost = c
-        cols = np.flatnonzero(
-            (self._lb != held.lb) | (self._ub != held.ub)
-        ).astype(np.int32)
+        cols = np.flatnonzero((lb != held.lb) | (ub != held.ub)).astype(np.int32)
         if cols.size:
-            highs.changeColsBounds(cols.size, cols, self._lb[cols], self._ub[cols])
-            held.lb, held.ub = self._lb.copy(), self._ub.copy()
+            highs.changeColsBounds(cols.size, cols, lb[cols], ub[cols])
+            held.lb, held.ub = lb.copy(), ub.copy()
         # Re-solves tighten the primal tolerance to the separation
         # tolerance (HiGHS's minimum): at the 1e-7 default a warm vertex
         # can violate its own rows by more than separation allows, and
@@ -407,7 +459,8 @@ class LinearModel:
 
     def _run(self):
         """Run HiGHS; ``(status, message, iterations, solution-or-None)``
-        with SciPy's status codes and ``linprog``'s feasibility re-check."""
+        with SciPy's status codes and ``linprog``'s feasibility re-check,
+        both on the full model (a quotient solution is lifted first)."""
         held = self._held
         highs = held.highs
         highs.run()
@@ -423,26 +476,33 @@ class LinearModel:
         x = np.array(result.col_value)
         row_value = np.array(result.row_value)
         row_dual = np.array(result.row_dual)
-        # HiGHS rows: the <= rows present at load, the equality rows,
-        # then every <= row appended since.
-        k, e = held.first_ub_rows, held.eq_rows
-        ub_rows = np.r_[0:k, k + e : row_value.shape[0]]
+        if held.orbits is not None:
+            x, ub_value, eq_value, ub_dual, eq_dual = held.orbits.lift(
+                x, row_value, row_dual
+            )
+        else:
+            # HiGHS rows: the <= rows present at load, the equality rows,
+            # then every <= row appended since.
+            k, e = held.first_ub_rows, held.eq_rows
+            ub_rows = np.r_[0:k, k + e : row_value.shape[0]]
+            ub_value, ub_dual = row_value[ub_rows], row_dual[ub_rows]
+            eq_value, eq_dual = row_value[k : k + e], row_dual[k : k + e]
         b_ub = np.concatenate(self._ub_rhs) if self._ub_rhs else np.zeros(0)
         b_eq = np.concatenate(self._eq_rhs) if self._eq_rhs else np.zeros(0)
         tol = _CHECK_TOL
         if not (
             np.all(np.isfinite(x))
             and np.all((x >= self._lb - tol) & (x <= self._ub + tol))
-            and np.all(b_ub - row_value[ub_rows] >= -tol)
-            and np.all(np.abs(b_eq - row_value[k : k + e]) <= tol)
+            and np.all(b_ub - ub_value >= -tol)
+            and np.all(np.abs(b_eq - eq_value) <= tol)
         ):
             message = f"The solution violates the constraints by over {tol:.2E}."
             return 4, message, iterations, None
         solution = LPSolution(
             objective=float(info.objective_function_value),
             x=x,
-            eq_duals=row_dual[k : k + e] if e else None,
-            ub_duals=row_dual[ub_rows] if ub_rows.size else None,
+            eq_duals=eq_dual if eq_dual.size else None,
+            ub_duals=ub_dual if ub_dual.size else None,
             iterations=iterations,
         )
         return status, message, iterations, solution
@@ -458,7 +518,13 @@ class LinearModel:
         ``warm`` attr).  Simplex then restarts from the previous basis;
         interior point solves the held model afresh.  A model that gained
         variables or equality rows since is passed again whole, and later
-        ``method`` values are ignored until then.  ``attrs`` adds extra
+        ``method`` values are ignored until then.  Under a declared
+        symmetry (:meth:`declare_symmetry`) HiGHS holds the orbit
+        quotient instead: the span gains ``orbit_rows``/``orbit_cols``
+        (``rows``/``cols``/``nnz`` stay the full model's), only objective
+        and bound changes re-solve warm, and the returned solution, its
+        duals and the solve observer's certificate are the full model's,
+        lifted from the quotient optimum.  ``attrs`` adds extra
         attributes to the ``lp.solve`` span — column generation tags every
         master re-solve with its iteration and generated-row count, so
         traces show the loop's shape.
@@ -474,6 +540,7 @@ class LinearModel:
             held is not None
             and held.num_vars == self._num_vars
             and held.eq_rows == self._num_eq_rows
+            and (held.orbits is None or held.first_ub_rows == self._num_ub_rows)
         )
         with obs.span(
             "lp.solve",
@@ -490,6 +557,11 @@ class LinearModel:
                 self._push_changes()
             else:
                 assembled = self._load(method)
+            orbits = self._held.orbits
+            if orbits is not None:
+                sp_solve.set(
+                    orbit_rows=orbits.num_rows, orbit_cols=int(orbits.rep.size)
+                )
             status, message, iterations, solution = self._run()
             sp_solve.set(status=status, iterations=iterations)
         obs.metric_count("lp.solves", status=status)

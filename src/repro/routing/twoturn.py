@@ -116,13 +116,13 @@ def design_2turn(
     lp = PathSetLP(torus, paths, group, name="2TURN")
     w = lp.model.add_variables("w", 1)
     lp.add_worst_case(int(w.indices()[0]))
+    lp.declare_point_symmetry()
     lp.model.set_objective(w.indices(), [1.0])
     sol = lp.model.solve(method=method)
     wc_load = float(sol[w][0])
 
-    lp = PathSetLP(torus, paths, group, name="2TURN-stage2")
-    w = lp.model.add_variables("w", 1)
-    lp.add_worst_case(int(w.indices()[0]))
+    # Stage 2 re-solves the stage-1 model in place: cap w, swap the
+    # objective for locality.
     lp.model.set_bounds(w, ub=wc_load * (1 + LEXICOGRAPHIC_SLACK) + SOLVER_DUST)
     cols, vals = lp.locality_terms()
     lp.model.set_objective(cols, vals)

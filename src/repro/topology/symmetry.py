@@ -9,10 +9,12 @@ channel :math:`c` is then the canonical flow of commodity
 
 :class:`TranslationGroup` packages the lookup tables this reduction
 needs.  :func:`stabilizer_maps` additionally enumerates the signed
-coordinate permutations fixing node 0 (the point group of the torus),
-which are used to symmetrize LP solutions — averaging a solution over
-the stabilizer orbit never increases any of the paper's convex cost
-functions, and yields cleaner, fully symmetric routing tables.
+coordinate permutations fixing node 0 (the point group of the torus;
+:func:`point_group_generators` a generating set of it), which are used
+to symmetrize LP solutions and to solve design LPs on their orbit
+quotient — averaging a solution over the stabilizer orbit never
+increases any of the paper's convex cost functions, and yields cleaner,
+fully symmetric routing tables.
 """
 
 from __future__ import annotations
@@ -125,48 +127,72 @@ def stabilizer_maps(
     always qualify; dimension swaps qualify only between equal-bandwidth
     axes).  ``bandwidth_preserving=False`` restores the raw point group.
     """
+    n = torus.n
+    candidates = itertools.product(
+        itertools.permutations(range(n)),
+        itertools.product((+1, -1), repeat=n),
+    )
+    return _point_maps(torus, candidates, bandwidth_preserving)
+
+
+def point_group_generators(torus: Torus) -> list[PointSymmetry]:
+    """A generating set of :func:`stabilizer_maps` (bandwidth-preserving):
+    each single-axis sign flip and each swap of two equal-bandwidth axes.
+
+    ``n + n(n-1)/2`` maps instead of ``2^n n!`` — what a symmetry
+    declaration needs, since invariance under generators is invariance
+    under the group and orbits are the generators' connected components.
+    """
+    n = torus.n
+    identity = tuple(range(n))
+    plus = (+1,) * n
+    flips = [
+        (identity, tuple(-1 if d == i else +1 for d in range(n)))
+        for i in range(n)
+    ]
+    swaps = []
+    for i, j in itertools.combinations(range(n), 2):
+        perm = list(identity)
+        perm[i], perm[j] = j, i
+        swaps.append((tuple(perm), plus))
+    return _point_maps(torus, flips + swaps, bandwidth_preserving=True)
+
+
+def _point_maps(torus: Torus, candidates, bandwidth_preserving: bool):
+    """The :class:`PointSymmetry` of each ``(perm, signs)`` candidate."""
     n, k = torus.n, torus.k
     bw = torus.bandwidth
     coords = torus.coords_array()
     weights = k ** np.arange(n)
     maps: list[PointSymmetry] = []
-    for perm in itertools.permutations(range(n)):
-        for signs in itertools.product((+1, -1), repeat=n):
-            new_coords = np.empty_like(coords)
-            for dim in range(n):
-                src_dim = perm[dim]
-                col = coords[:, src_dim]
-                new_coords[:, dim] = col if signs[dim] == +1 else (-col) % k
-            node_map = (new_coords @ weights).astype(np.int64)
+    for perm, signs in candidates:
+        new_coords = np.empty_like(coords)
+        for dim in range(n):
+            src_dim = perm[dim]
+            col = coords[:, src_dim]
+            new_coords[:, dim] = col if signs[dim] == +1 else (-col) % k
+        node_map = (new_coords @ weights).astype(np.int64)
 
-            # Channel (v, dim, dir): v maps through node_map; movement in
-            # dimension `src_dim` with direction `dir` becomes movement in
-            # the image dimension with direction dir * sign.
-            ncls = torus.num_classes
-            channel_map = np.empty(torus.num_channels, dtype=np.int64)
-            # image_dim[src_dim] = dim such that perm[dim] == src_dim
-            image_dim = [0] * n
-            for dim in range(n):
-                image_dim[perm[dim]] = dim
-            for v in range(torus.num_nodes):
-                for dim in range(n):
-                    for dirbit, step in ((0, +1), (1, -1)):
-                        c = v * ncls + dim * 2 + dirbit
-                        idim = image_dim[dim]
-                        istep = step * signs[idim]
-                        ibit = 0 if istep == +1 else 1
-                        channel_map[c] = node_map[v] * ncls + idim * 2 + ibit
-            if bandwidth_preserving and not np.array_equal(
-                bw[channel_map], bw
-            ):
-                continue
-            maps.append(
-                PointSymmetry(
-                    node_map=node_map,
-                    channel_map=channel_map,
-                    label=f"perm={perm} signs={signs}",
-                )
+        # Channel (v, dim, dir): v maps through node_map; movement in
+        # dimension `dim` with direction `dir` becomes movement in the
+        # image dimension (perm[idim] == dim) with direction dir * sign.
+        ncls = torus.num_classes
+        image_cls = np.empty(ncls, dtype=np.int64)
+        for dim in range(n):
+            idim = perm.index(dim)
+            for dirbit, step in ((0, +1), (1, -1)):
+                ibit = 0 if step * signs[idim] == +1 else 1
+                image_cls[dim * 2 + dirbit] = idim * 2 + ibit
+        channel_map = (node_map[:, None] * ncls + image_cls[None, :]).ravel()
+        if bandwidth_preserving and not np.array_equal(bw[channel_map], bw):
+            continue
+        maps.append(
+            PointSymmetry(
+                node_map=node_map,
+                channel_map=channel_map,
+                label=f"perm={perm} signs={signs}",
             )
+        )
     return maps
 
 

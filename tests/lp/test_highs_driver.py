@@ -1,9 +1,12 @@
 """Tests for the persistent HiGHS instance behind ``LinearModel.solve``.
 
-A first solve must be bit-identical to ``scipy.optimize.linprog``; a
-re-solve after appended ``<=`` rows, a new objective or new bounds runs
-warm from the kept basis and must agree with solving the same model
-fresh.
+A first solve of a model without a declared symmetry must be
+bit-identical to ``scipy.optimize.linprog``; a model that declares its
+point group solves on its orbit quotient and must match ``linprog`` on
+the full model to 1e-9 with a certificate valid against the full model.
+A re-solve after appended ``<=`` rows, a new objective or new bounds
+runs warm from the kept basis and must agree with solving the same
+model fresh.
 """
 
 import subprocess
@@ -18,12 +21,16 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from repro import obs
+from repro.core import average_case
 from repro.core.capacity import solve_capacity
-from repro.core.worst_case import _build
+from repro.core.path_lp import PathSetLP
+from repro.core.worst_case import RestrictedMasterProblem, _build
 from repro.lp import LinearModel, LPError
 from repro.lp.model import set_solve_observer
+from repro.routing.twoturn import two_turn_paths
 from repro.topology.symmetry import TranslationGroup
 from repro.topology.torus import Torus
+from repro.traffic.doubly_stochastic import sample_traffic_set
 from repro.verify.certificates import collect_certificates
 
 
@@ -53,24 +60,69 @@ def _lp_spans(model_name):
     ]
 
 
+def _sample(torus):
+    return sample_traffic_set(np.random.default_rng(7), torus.num_nodes, 3)
+
+
+def _average_case_model(k):
+    torus = Torus(k, 2)
+    prob, m = average_case._build(
+        torus, TranslationGroup(torus), _sample(torus), None, "=="
+    )
+    prob.model.set_objective(m.indices(), np.full(m.size, 1 / m.size))
+    return prob.model
+
+
+def _two_turn_average_model(k):
+    torus = Torus(k, 2)
+    lp = PathSetLP(torus, two_turn_paths(torus), name="2TURNA")
+    m = lp.model.add_variables("m", 3)
+    lp.add_average_case(_sample(torus), m)
+    lp.model.set_objective(m.indices(), np.full(3, 1 / 3))
+    return lp.model
+
+
+def _colgen_master(k):
+    master = RestrictedMasterProblem(Torus(k, 2))
+    master.model.set_objective(master.w.indices(), [1.0])
+    return master.model
+
+
 class TestFirstSolveMatchesLinprog:
     @pytest.mark.parametrize("method", ["highs", "highs-ds", "highs-ipm"])
-    @pytest.mark.parametrize("lexicographic", [False, True])
-    def test_worst_case_design_model(self, method, lexicographic):
-        model = _worst_case_model(4, lexicographic)
+    @pytest.mark.parametrize(
+        "build", [_average_case_model, _two_turn_average_model, _colgen_master]
+    )
+    def test_undeclared_model_bit_identical(self, build, method):
+        model = build(4)
         ref = _linprog(model, method)
         sol = model.solve(method=method)
+        assert "orbit_cols" not in _lp_spans(model.name)[-1]["attrs"]
         assert sol.objective == ref.fun
         assert np.array_equal(sol.x, ref.x)
         assert np.array_equal(sol.ub_duals, ref.ineqlin.marginals)
         assert np.array_equal(sol.eq_duals, ref.eqlin.marginals)
         assert sol.iterations == ref.nit
 
-    def test_capacity_design(self):
+    @pytest.mark.parametrize("method", ["highs", "highs-ds", "highs-ipm"])
+    @pytest.mark.parametrize("lexicographic", [False, True])
+    def test_declared_worst_case_model(self, method, lexicographic):
+        # Declares the point group: solved on the orbit quotient, so it
+        # matches linprog's optimum on the full model, not its vertex.
+        model = _worst_case_model(4, lexicographic)
+        ref = _linprog(model, method)
+        with collect_certificates(strict=True) as certs:
+            sol = model.solve(method=method)
+        assert "orbit_cols" in _lp_spans(model.name)[-1]["attrs"]
+        assert sol.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
+        assert len(certs.certificates) == 1
+
+    def test_declared_capacity_design(self):
         solves = []
         previous = set_solve_observer(lambda m, s, a: solves.append((s, a)))
         try:
-            solve_capacity(Torus(4, 2))
+            with collect_certificates(strict=True) as certs:
+                solve_capacity(Torus(4, 2))
         finally:
             set_solve_observer(previous)
         ((sol, (c, a_ub, b_ub, a_eq, b_eq, bounds)),) = solves
@@ -79,10 +131,9 @@ class TestFirstSolveMatchesLinprog:
             c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
             method="highs",
         )
-        assert sol.objective == ref.fun
-        assert np.array_equal(sol.x, ref.x)
-        assert np.array_equal(sol.ub_duals, ref.ineqlin.marginals)
-        assert np.array_equal(sol.eq_duals, ref.eqlin.marginals)
+        assert sol.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
+        assert sol.x.shape == ref.x.shape
+        assert certs.all_valid and len(certs.certificates) == 1
 
     def test_unknown_method_rejected(self):
         m = LinearModel()

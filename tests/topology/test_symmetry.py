@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.topology import Torus, TranslationGroup, stabilizer_maps
+from repro.topology.symmetry import point_group_generators
 from repro.topology.symmetry import symmetrize_canonical_flows
 
 
@@ -83,6 +84,32 @@ class TestStabilizer:
         assert any(
             np.array_equal(g.node_map, np.arange(t4.num_nodes)) for g in maps
         )
+
+
+@pytest.mark.parametrize(
+    "torus",
+    [Torus(4, 2), Torus(3, 3), Torus(3, 3, bandwidths=(1.0, 0.5, 1.0))],
+    ids=["4x4", "3x3x3", "3x3x3-het"],
+)
+def test_generators_generate_the_stabilizer(torus):
+    def closure(maps):
+        seen = {g.channel_map.tobytes(): g.channel_map for g in maps}
+        frontier = list(seen.values())
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for g in maps:
+                    c = g.channel_map[a]
+                    if c.tobytes() not in seen:
+                        seen[c.tobytes()] = c
+                        nxt.append(c)
+            frontier = nxt
+        return set(seen)
+
+    gens = point_group_generators(torus)
+    group = stabilizer_maps(torus)
+    assert len(gens) < len(group)
+    assert closure(gens) == {g.channel_map.tobytes() for g in group}
 
 
 class TestSymmetrize:
