@@ -17,19 +17,36 @@ from repro.obs import bench
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
-def _write_bench(record: dict, name: str) -> pathlib.Path:
-    """Convert a legacy-shaped recorder dict to a canonical BENCH file.
-
-    The recorder fixtures keep their historical in-memory shape (the
-    benchmarks fill in free-form dicts); this converts them through the
-    same :func:`repro.obs.bench.migrate_legacy` path the on-disk legacy
-    artifacts went through, stamps the real git revision, and writes
-    ``results/BENCH_<name>.json``.
-    """
-    doc = bench.migrate_legacy(record, name)
-    doc["git_rev"] = bench.git_revision()
+def _write_bench(doc: dict) -> pathlib.Path:
+    """Write a canonical BENCH document to ``results/BENCH_<name>.json``."""
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     return bench.write_doc(doc, RESULTS_DIR)
+
+
+def _sweep_doc(record: dict, name: str) -> dict:
+    """BENCH document of a recorder that times one whole sweep.
+
+    ``total_seconds`` becomes the ``total`` timing series and everything
+    else but the workload (sweep rows, fault sequences, breakpoints)
+    goes under ``meta``; a ``(_, _, lo, hi)`` saturation bracket also
+    yields a ``saturation_mid`` ratio.
+    """
+    meta = {
+        k: v for k, v in record.items() if k not in ("workload", "total_seconds")
+    }
+    derived = {}
+    saturation = meta.get("saturation")
+    if isinstance(saturation, list) and len(saturation) == 4:
+        derived["saturation_mid"] = 0.5 * (
+            float(saturation[2]) + float(saturation[3])
+        )
+    return bench.new_doc(
+        name,
+        record["workload"],
+        timings={"total": [record["total_seconds"]]},
+        derived=derived,
+        meta=meta,
+    )
 
 
 def full_mode() -> bool:
@@ -114,7 +131,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             )
     record = getattr(config, "_sim_backend_record", None)
     if record:
-        path = _write_bench(record, "sim_backend")
+        path = _write_bench(
+            bench.new_doc(
+                "sim_backend",
+                record["workload"],
+                timings={
+                    "reference": [record["reference_seconds"]],
+                    "vectorized": [record["vectorized_seconds"]],
+                },
+                derived={"speedup": float(record["speedup"])},
+                meta={"results_identical": bool(record.get("results_identical"))},
+            )
+        )
         w = record["workload"]
         terminalreporter.section("simulator backend speedup")
         terminalreporter.write_line(
@@ -125,7 +153,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         )
     record = getattr(config, "_sim_replicas_record", None)
     if record:
-        # Born canonical (schema v1): no legacy shape to migrate from.
         doc = bench.new_doc(
             "sim_replicas",
             record["workload"],
@@ -136,8 +163,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             derived={"speedup": float(record["speedup"])},
             meta={"results_identical": bool(record["results_identical"])},
         )
-        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-        path = bench.write_doc(doc, RESULTS_DIR)
+        path = _write_bench(doc)
         w = record["workload"]
         terminalreporter.section("replica-batched kernel speedup")
         terminalreporter.write_line(
@@ -149,7 +175,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         )
     record = getattr(config, "_faults_bench_record", None)
     if record:
-        path = _write_bench(record, "faults")
+        path = _write_bench(_sweep_doc(record, "faults"))
         w = record["workload"]
         terminalreporter.section("fault-robustness sweep")
         terminalreporter.write_line(
@@ -160,7 +186,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         )
     record = getattr(config, "_rotor_bench_record", None)
     if record:
-        path = _write_bench(record, "rotor")
+        path = _write_bench(_sweep_doc(record, "rotor"))
         w = record["workload"]
         terminalreporter.section("rotor phase sweep")
         terminalreporter.write_line(
@@ -170,7 +196,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         )
     record = getattr(config, "_topo3d_bench_record", None)
     if record:
-        path = _write_bench(record, "topo3d")
+        path = _write_bench(_sweep_doc(record, "topo3d"))
         w = record["workload"]
         terminalreporter.section("3-D heterogeneity sweep")
         terminalreporter.write_line(

@@ -361,12 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 if any timing series regressed (the CI gate); "
         "without it the report is informational",
     )
-    bench_p.add_argument(
-        "--migrate",
-        action="store_true",
-        help="first convert legacy results/*_bench.json files in the "
-        "results directory to canonical BENCH_<name>.json",
-    )
     return parser
 
 
@@ -424,12 +418,7 @@ def _obs_report(args) -> int:
 
 
 def _bench_report(args) -> int:
-    from repro.obs.bench import migrate_directory
-
     try:
-        if args.migrate:
-            for path in migrate_directory(args.results):
-                log.info("migrated legacy benchmark to %s", path)
         report = obs.compare_dirs(
             args.results, args.baseline, threshold=args.threshold
         )

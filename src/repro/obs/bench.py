@@ -1,5 +1,5 @@
 """Benchmark-regression tracker: one canonical ``BENCH_<name>.json``
-schema, legacy migration, and baseline diffing.
+schema and baseline diffing.
 
 Before this module the repo's bench trajectory was three ad-hoc,
 mutually incompatible JSON shapes (``sim_backend_bench.json``,
@@ -49,13 +49,6 @@ BENCH_PREFIX = "BENCH_"
 
 #: Default regression threshold: median slowdown beyond +25% fails.
 DEFAULT_THRESHOLD = 0.25
-
-#: Legacy artifact names (pre-tracker) and their canonical bench names.
-LEGACY_NAMES = {
-    "sim_backend_bench.json": "sim_backend",
-    "faults_bench.json": "faults",
-    "topo3d_bench.json": "topo3d",
-}
 
 _REQUIRED_KEYS = ("bench_schema", "name", "created", "git_rev", "workload",
                   "timings", "derived", "meta")
@@ -207,75 +200,6 @@ def iter_bench_docs(results_dir: str | Path) -> dict[str, dict]:
         doc = load_doc(path)
         docs[doc["name"]] = doc
     return docs
-
-
-# ----------------------------------------------------------------------
-# Legacy migration
-# ----------------------------------------------------------------------
-def migrate_legacy(doc: dict, name: str) -> dict:
-    """Convert one pre-tracker ``results/*_bench.json`` document.
-
-    Handles the three historical shapes (``sim_backend``, ``faults``,
-    ``topo3d``); the original free-form payloads (sweep rows, fault
-    sequences, breakpoints) are preserved under ``meta``.
-    """
-    if "bench_schema" in doc:
-        validate_doc(doc)
-        return doc
-    workload = dict(doc.get("workload", {}))
-    if name == "sim_backend" or {"reference_seconds", "vectorized_seconds"} <= set(
-        doc
-    ):
-        return new_doc(
-            "sim_backend",
-            workload,
-            timings={
-                "reference": [doc["reference_seconds"]],
-                "vectorized": [doc["vectorized_seconds"]],
-            },
-            derived={"speedup": float(doc["speedup"])},
-            meta={"results_identical": bool(doc.get("results_identical"))},
-            git_rev="unknown",
-        )
-    if "total_seconds" in doc:
-        meta = {
-            k: v
-            for k, v in doc.items()
-            if k not in ("workload", "total_seconds")
-        }
-        derived = {}
-        saturation = meta.get("saturation")
-        if isinstance(saturation, list) and len(saturation) == 4:
-            derived["saturation_mid"] = 0.5 * (
-                float(saturation[2]) + float(saturation[3])
-            )
-        return new_doc(
-            name,
-            workload,
-            timings={"total": [doc["total_seconds"]]},
-            derived=derived,
-            meta=meta,
-            git_rev="unknown",
-        )
-    raise BenchValidationError(f"unrecognized legacy bench shape for {name!r}")
-
-
-def migrate_directory(results_dir: str | Path) -> list[Path]:
-    """Convert every legacy ``*_bench.json`` into a canonical file.
-
-    Returns the written paths; the legacy files are left in place for
-    the caller to remove (or keep) explicitly.
-    """
-    written = []
-    root = Path(results_dir)
-    for legacy_name, bench_name in LEGACY_NAMES.items():
-        path = root / legacy_name
-        if not path.exists():
-            continue
-        with open(path) as fh:
-            doc = json.load(fh)
-        written.append(write_doc(migrate_legacy(doc, bench_name), root))
-    return written
 
 
 # ----------------------------------------------------------------------

@@ -44,6 +44,8 @@ class HypercubeValiant(ObliviousRouting):
     random intermediate, then e-cube to the destination."""
 
     translation_invariant = True
+    # Intermediates are walked in absolute node order.
+    canonical_order = False
 
     def __init__(self, cube: Hypercube, name: str = "VAL") -> None:
         super().__init__(cube, name)

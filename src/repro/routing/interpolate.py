@@ -43,6 +43,7 @@ class Interpolated(ObliviousRouting):
         self.translation_invariant = (
             first.translation_invariant and second.translation_invariant
         )
+        self.canonical_order = first.canonical_order and second.canonical_order
 
     def path_distribution(self, src: int, dst: int) -> list[tuple[Path, float]]:
         acc: dict[Path, float] = {}

@@ -15,6 +15,7 @@ about 1.61x minimal on the 8-ary 2-cube.
 
 from __future__ import annotations
 
+import dataclasses
 from functools import cached_property
 
 import numpy as np
@@ -22,6 +23,7 @@ import numpy as np
 from repro.routing import paths as pathmod
 from repro.routing.base import ObliviousRouting
 from repro.routing.dor import DimensionOrderRouting
+from repro.routing.path_table import TranslatedTable, offsets, ranges
 from repro.routing.paths import Path
 from repro.topology.torus import Torus
 
@@ -42,6 +44,10 @@ class Valiant(ObliviousRouting):
     """
 
     translation_invariant = True
+    # Intermediates are walked in absolute node order, so a pair's list
+    # is a reordering of its canonical translate; ``_translated_table``
+    # reproduces that order.
+    canonical_order = False
 
     def __init__(
         self,
@@ -66,7 +72,11 @@ class Valiant(ObliviousRouting):
         key = (src, dst)
         if key not in memo:
             routing = self._phase2 if phase else self._phase1
-            memo[key] = routing.path_distribution(src, dst)
+            # A slice of DOR's table, which translates its canonical rows
+            # instead of building every pair's paths node by node.
+            memo[key] = routing.path_table().distribution(
+                src * self.network.num_nodes + dst
+            )
         return memo[key]
 
     def path_distribution(self, src: int, dst: int) -> list[tuple[Path, float]]:
@@ -82,6 +92,51 @@ class Valiant(ObliviousRouting):
                         path = pathmod.remove_loops(path)
                     acc[path] = acc.get(path, 0.0) + q1 * q2 / n
         return list(acc.items())
+
+    @cached_property
+    def _translated_table(self) -> TranslatedTable:
+        """``path_distribution``'s lists from canonical generation blocks.
+
+        Block ``(t, m)`` holds the paths ``path_distribution(0, t)``
+        generates through intermediate ``m``.  Pair ``(s, d)`` walks
+        intermediates ``0..N-1``, i.e. blocks ``(d - s, mid - s)`` in
+        ``mid`` order; merging identical paths in that order gives its
+        list exactly, weights summed in the same order.
+        """
+        n = self.network.num_nodes
+        group = self._translation_group
+        first, second = self._phase1.path_table(), self._phase2.path_table()
+        # Block (t, m) pairs every phase-1 path 0 -> m with every phase-2
+        # path m -> t, phase-1 major; block (0, 0) is the zero-hop path.
+        t, m = np.divmod(np.arange(n * n), n)
+        c2 = second.row_counts[m * n + t]
+        size = np.where(t == 0, m == 0, first.row_counts[m] * c2)
+        block = np.repeat(np.arange(n * n), size)
+        local = np.arange(block.size) - offsets(size)[block]
+        generated = first.concatenated(
+            first.row_ptr[m[block]] + local // c2[block],
+            second,
+            second.row_ptr[m[block] * n + t[block]] + local % c2[block],
+            offsets(size),
+        )
+        generated = dataclasses.replace(
+            generated, prob=np.where(t[block] == 0, 1.0, generated.prob / n)
+        )
+        if self._remove_loops:
+            generated = generated.without_loops()
+        src = np.repeat(np.arange(n), n)
+        dest = group.node_diff[np.tile(np.arange(n), n), src]
+        # mid - s for every mid, per pair: the pair's blocks in walk order
+        offset = group.node_diff[np.arange(n)[None, :], src[:, None]]
+        rows = (dest[:, None] * n + offset).ravel()
+        counts = generated.row_counts[rows]
+        path = ranges(generated.row_ptr[rows], counts)
+        return TranslatedTable(
+            generated,
+            offsets(counts.reshape(n * n, n).sum(axis=1)),
+            path,
+            generated.prob[path],
+        ).merged()
 
     @cached_property
     def canonical_flows(self) -> np.ndarray:

@@ -17,6 +17,15 @@ traffic)`` tables — different algorithms, traffic matrices or degraded
 networks over the same nodes — so one launch can serve every case of a
 sweep.  A one-table simulator is simply the one-table stack.
 
+Path compile reads the routing's flat path table
+(:meth:`~repro.routing.base.ObliviousRouting.path_table`, built once
+per routing with array ops): a table's itineraries are one gather of
+the rows of its traffic's support pairs, and only the choice CDF is
+still built pair by pair, with the reference's float normalization
+chain.  The reference simulator keeps calling ``path_distribution`` —
+which every routing's table reproduces exactly — so the differential
+suite checks the compile too.
+
 Equivalence contract (enforced by ``tests/sim/test_differential.py``
 and ``tests/sim/test_replicas.py``):
 
@@ -58,7 +67,6 @@ import numpy as np
 from repro import obs
 from repro.constants import DEFAULT_SIM_BACKEND, DISTRIBUTION_ATOL
 from repro.routing.base import ObliviousRouting
-from repro.routing.paths import path_channels
 from repro.sim.network_sim import (
     SimulationConfig,
     SimulationResult,
@@ -212,9 +220,9 @@ class VectorizedSimulator:
 
     Compilation materializes, for every drawable source/destination
     pair, the reference simulator's cached path distribution: the
-    per-path channel itineraries (flattened into one array) and the
-    choice CDF (replicating the exact float normalization the reference
-    feeds to ``Generator.choice``).  The tables are reused across every
+    per-path channel itineraries (sliced from the routing's path table
+    into one flat array) and the choice CDF (replicating the exact float
+    normalization the reference feeds to ``Generator.choice``).  The tables are reused across every
     :meth:`run`/:meth:`run_replicas` call, which is what amortizes setup
     over a rate sweep, a seed ensemble, or a saturation bisection.
 
@@ -339,7 +347,6 @@ class VectorizedSimulator:
     def _compile_pairs(self, table: int, pairs: list[tuple[int, int]]) -> None:
         """Build ``table``'s entries for ``pairs`` (skipping compiled ones)."""
         algorithm = self._tables[table][0]
-        net = algorithm.network
         n = self.num_nodes
         off = table * n * n
         todo = [
@@ -347,49 +354,45 @@ class VectorizedSimulator:
         ]
         if not todo:
             return
-        starts, lens, chan_blocks, cdfs = [], [], [], []
-        next_start = int(self._chan_flat.size)
-        next_base = int(self._path_len.size)
-        bases, counts = [], []
-        for s, d in todo:
-            dist = algorithm.path_distribution(s, d)
-            chans = [
-                np.asarray(path_channels(net, p), dtype=np.int32)
-                for p, _ in dist
-            ]
+        rows = np.asarray([s * n + d for s, d in todo], dtype=np.int64)
+        paths = algorithm.path_table().take_rows(rows)
+        counts = paths.row_counts
+        if not counts.all():
+            s, d = todo[int(np.argmin(counts))]
+            algorithm.path_distribution(s, d)  # raises the routing's reason
+            raise ValueError(f"{algorithm.name} has no path for ({s}, {d})")
+        cdfs = []
+        for lo, hi in zip(paths.row_ptr[:-1].tolist(), paths.row_ptr[1:].tolist()):
             # Replicate the reference's normalization chain exactly:
             # dist_cache stores probs / probs.sum(); Generator.choice
             # then uses cdf = p.cumsum(); cdf /= cdf[-1].
-            probs = np.asarray([w for _, w in dist])
+            probs = paths.prob[lo:hi]
             probs = probs / probs.sum()
             cdf = probs.cumsum()
             cdf /= cdf[-1]
-            bases.append(next_base)
-            counts.append(len(dist))
-            next_base += len(dist)
-            for arr in chans:
-                starts.append(next_start)
-                lens.append(arr.size)
-                next_start += arr.size
-            chan_blocks.extend(chans)
             cdfs.append(cdf)
 
+        keys = off + rows
+        self._pair_base[keys] = self._path_len.size + paths.row_ptr[:-1]
+        self._npaths[keys] = counts
         self._path_start = np.concatenate(
-            [self._path_start, np.asarray(starts, dtype=np.int32)]
+            [
+                self._path_start,
+                (self._chan_flat.size + paths.chan_ptr[:-1]).astype(np.int32),
+            ]
         )
         self._path_len = np.concatenate(
-            [self._path_len, np.asarray(lens, dtype=np.int32)]
+            [self._path_len, np.diff(paths.chan_ptr).astype(np.int32)]
         )
-        self._chan_flat = np.concatenate([self._chan_flat] + chan_blocks)
-        width = max(self._cdf.shape[1], max(len(c) for c in cdfs))
+        self._chan_flat = np.concatenate(
+            [self._chan_flat, paths.channels.astype(np.int32)]
+        )
+        width = max(self._cdf.shape[1], int(counts.max()))
         if width > self._cdf.shape[1]:
             grown = np.full((self._cdf.shape[0], width), np.inf)
             grown[:, : self._cdf.shape[1]] = self._cdf
             self._cdf = grown
-        for (s, d), base, count, cdf in zip(todo, bases, counts, cdfs):
-            key = off + s * n + d
-            self._pair_base[key] = base
-            self._npaths[key] = count
+        for key, count, cdf in zip(keys.tolist(), counts.tolist(), cdfs):
             self._cdf[key, :count] = cdf
             self._cdf[key, count:] = np.inf
 

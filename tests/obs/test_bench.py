@@ -77,55 +77,6 @@ class TestSchema:
             bench.load_doc(path)
 
 
-class TestLegacyMigration:
-    def test_sim_backend_shape(self):
-        doc = bench.migrate_legacy(
-            {
-                "workload": {"rates": 5},
-                "reference_seconds": 9.6,
-                "vectorized_seconds": 0.8,
-                "speedup": 12.0,
-                "results_identical": True,
-            },
-            "sim_backend",
-        )
-        assert doc["name"] == "sim_backend"
-        assert doc["timings"]["reference"]["median"] == 9.6
-        assert doc["timings"]["vectorized"]["median"] == 0.8
-        assert doc["derived"]["speedup"] == 12.0
-        assert doc["meta"]["results_identical"] is True
-
-    def test_total_seconds_shape_with_saturation(self):
-        doc = bench.migrate_legacy(
-            {
-                "workload": {"k": 4},
-                "total_seconds": 3.5,
-                "saturation": ["vc", "wc", 0.4, 0.5],
-                "rows": [[1, 2]],
-            },
-            "faults",
-        )
-        assert doc["timings"]["total"]["median"] == 3.5
-        assert doc["derived"]["saturation_mid"] == pytest.approx(0.45)
-        assert doc["meta"]["rows"] == [[1, 2]]
-
-    def test_canonical_doc_passes_through(self):
-        doc = _doc()
-        assert bench.migrate_legacy(doc, "demo") is doc
-
-    def test_unknown_shape_rejected(self):
-        with pytest.raises(bench.BenchValidationError, match="unrecognized"):
-            bench.migrate_legacy({"mystery": 1}, "mystery")
-
-    def test_migrate_directory(self, tmp_path):
-        (tmp_path / "topo3d_bench.json").write_text(
-            json.dumps({"workload": {"k": 3}, "total_seconds": 2.0})
-        )
-        written = bench.migrate_directory(tmp_path)
-        assert [p.name for p in written] == ["BENCH_topo3d.json"]
-        assert bench.load_doc(written[0])["timings"]["total"]["median"] == 2.0
-
-
 class TestDiff:
     def test_ratio_and_verdicts(self):
         row = bench.DiffRow("b", "m", 1.0, 1.2, threshold=0.25)
@@ -220,16 +171,3 @@ class TestCli:
              str(tmp_path / "baselines")]
         )
         assert rc == 2
-
-    def test_migrate_flag(self, tmp_path, capsys):
-        results = tmp_path / "results"
-        results.mkdir()
-        (results / "faults_bench.json").write_text(
-            json.dumps({"workload": {"k": 4}, "total_seconds": 1.5})
-        )
-        rc = main(
-            ["bench-report", "--results", str(results), "--baseline",
-             str(tmp_path / "baselines"), "--migrate"]
-        )
-        assert rc == 0
-        assert (results / "BENCH_faults.json").exists()
