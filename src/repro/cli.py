@@ -469,6 +469,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(obs.profile_table(tracer), file=sys.stderr)
             tracer.close()
 
+    from repro.experiments.engine import TaskError
     from repro.verify.certificates import CertificationError
 
     bandwidths = None
@@ -555,6 +556,9 @@ def main(argv: list[str] | None = None) -> int:
                 return 2
             except CertificationError as exc:
                 print(f"repro-experiments: certification failed: {exc}", file=sys.stderr)
+                return 1
+            except TaskError as exc:
+                print(f"repro-experiments: {exc}", file=sys.stderr)
                 return 1
             finally:
                 if progress is not None:

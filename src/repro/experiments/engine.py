@@ -1,21 +1,19 @@
 """Parallel experiment execution engine with a persistent design cache.
 
-Every figure of the paper is a sweep of *independent* LP design
-problems: one locality-pinned worst-case or average-case solve per curve
-point, plus the 2TURN-family designs.  The engine turns each of those
-solves into a self-contained :class:`DesignTask`, executes outstanding
-tasks across a ``concurrent.futures.ProcessPoolExecutor`` (worker count
-from ``--jobs`` / ``$REPRO_JOBS``, default ``os.cpu_count()``; ``jobs=1``
-runs everything in-process so debugging and CI stay deterministic), and
-memoizes results in a :class:`repro.cache.DesignCache` so an identical
-LP is never solved twice — across figures, benchmark runs and test
-sessions alike.
+Every figure is a sweep of *independent* LP designs (one per curve
+point, plus the 2TURN family) or exact worst-case evaluations (degraded
+and rotor networks).  Each is a self-contained :class:`DesignTask` whose
+``kind`` names one row of :data:`KINDS`, the handler table holding
+everything kind-specific: validation, extra cache-key fields, the solve
+and the recheck of a cached entry.  Tasks are pure functions of their
+fields, so workers share no state and serial, pooled and cached results
+are bit-identical.
 
-Tasks are pure functions of their fields: topology ``(k, n)``, design
-kind, locality pin, and (for average-case designs) the literal traffic
-sample.  Workers therefore need no shared state, and results are
-bit-identical between the serial path, the parallel path and a cache
-hit.
+Outstanding tasks run in-process (``jobs=1``) or on a
+``ProcessPoolExecutor`` (``--jobs`` / ``$REPRO_JOBS``, default CPU
+count) through one completion loop that writes each result to the
+:class:`repro.cache.DesignCache` as it lands: no identical LP is solved
+twice, across figures, test sessions and reruns after a failure.
 """
 
 from __future__ import annotations
@@ -23,9 +21,11 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import functools
+import importlib
+import json
 import os
 import time
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,17 +34,6 @@ from repro.cache import DesignCache, cache_key, sample_digest
 
 #: Environment variable supplying the default worker count.
 JOBS_ENV = "REPRO_JOBS"
-
-#: Supported design-task kinds.
-TASK_KINDS = (
-    "wc_point",
-    "wc_opt",
-    "avg_point",
-    "twoturn",
-    "twoturn_avg",
-    "fault_wc",
-    "rotor_wc",
-)
 
 #: Named algorithms a ``fault_wc`` task can degrade.
 FAULT_ALGORITHMS = ("DOR", "VAL", "IVAL", "2TURN")
@@ -63,40 +52,88 @@ def resolve_jobs(jobs: int | None = None) -> int:
     return int(jobs)
 
 
+@dataclasses.dataclass(frozen=True)
+class FaultSpec:
+    """``fault_wc``: ``algorithm`` (one of :data:`FAULT_ALGORITHMS`) on
+    the torus with the failed ``channels``, rerouted under ``reroute``."""
+
+    algorithm: str
+    channels: tuple = ()
+    reroute: str = "detour"
+
+    def __post_init__(self):
+        if self.algorithm not in FAULT_ALGORITHMS:
+            raise ValueError(
+                f"fault_wc task needs algorithm from {FAULT_ALGORITHMS}, "
+                f"got {self.algorithm!r}"
+            )
+        if self.reroute not in ("renormalize", "detour"):
+            raise ValueError(
+                f"unknown reroute mode {self.reroute!r} for fault_wc task"
+            )
+        object.__setattr__(
+            self, "channels", tuple(sorted({int(c) for c in self.channels}))
+        )
+
+    def key_fields(self, k: int) -> dict:
+        from repro.faults import FaultSet
+
+        return {
+            "algorithm": self.algorithm,
+            "faults": FaultSet(channels=self.channels).digest(),
+            "reroute": self.reroute,
+        }
+
+
+@dataclasses.dataclass(frozen=True)
+class RotorSpec:
+    """``rotor_wc``: ``scheme`` (one of :data:`ROTOR_SCHEMES`) on the
+    round-robin rotor schedule with ``phases`` phases of
+    ``phase_length`` cycles."""
+
+    scheme: str
+    phases: int
+    phase_length: int = 1
+
+    def __post_init__(self):
+        if self.scheme not in ROTOR_SCHEMES:
+            raise ValueError(
+                f"rotor_wc task needs a scheme from {ROTOR_SCHEMES}, "
+                f"got {self.scheme!r}"
+            )
+        if self.phases < 1:
+            raise ValueError("rotor_wc task needs phases >= 1")
+        if self.phase_length < 1:
+            raise ValueError("rotor_wc task needs phase_length >= 1")
+
+    def schedule(self, k: int):
+        """The round-robin schedule this spec names, over ``k**2`` nodes."""
+        from repro.rotor import RotorSchedule
+
+        return RotorSchedule.round_robin(
+            k**2, self.phases, phase_length=self.phase_length
+        )
+
+    def key_fields(self, k: int) -> dict:
+        return {"scheme": self.scheme, "schedule": self.schedule(k).digest()}
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class DesignTask:
-    """One independent routing-design LP.
+    """One independent routing-design LP or worst-case evaluation.
 
-    ``ratio`` pins the average path length as a multiple of minimal
-    (``wc_point`` / ``avg_point``); ``sample`` carries the design
-    traffic sample for average-case kinds (hashed, not stored, in the
-    cache key).  ``label`` is for metrics display only and never enters
-    the cache key.
+    ``ratio`` pins the average path length as a multiple of minimal;
+    ``sample`` is the design traffic sample of average-case kinds
+    (hashed into the cache key); ``label`` is display-only and never
+    keyed; ``bandwidths`` are per-dimension (empty: uniform).  ``spec``
+    holds what only one kind needs (:class:`FaultSpec`,
+    :class:`RotorSpec`).
 
-    ``fault_wc`` tasks evaluate an existing ``algorithm`` (one of
-    :data:`FAULT_ALGORITHMS`) on the torus degraded by the failed
-    channels in ``faults``, rerouted under ``reroute`` — the cache key
-    gains the fault-set digest so degraded evaluations never collide
-    with pristine ones.
-
-    ``bandwidths`` carries per-dimension channel bandwidths (empty for
-    the uniform unit-bandwidth torus); heterogeneous tasks extend the
-    cache key so they never collide with uniform entries.
-
-    ``rotor_wc`` tasks evaluate an oblivious rotor scheme (``algorithm``
-    from :data:`ROTOR_SCHEMES`) on the round-robin rotor schedule with
-    ``phases`` phases of ``phase_length`` cycles over ``k**2`` nodes —
-    the cache key carries the schedule's canonical digest plus the
-    scheme, so distinct rotations never collide.
-
-    ``method`` picks the worst-case LP formulation for ``wc_point`` /
-    ``wc_opt`` tasks (:data:`repro.core.worst_case.DESIGN_METHODS`;
-    ``"auto"`` switches to column generation above the radix
-    threshold).  Only a *resolved* ``"colgen"`` enters the cache key:
-    ``"full"`` and an ``"auto"`` that resolves to the full LP solve the
-    identical model, so they keep sharing entries — and every
-    pre-existing cache key — while lazy-row solves, whose results agree
-    only to the separation tolerance, get keys (and docs) of their own.
+    ``method`` picks the worst-case LP formulation (``"auto"`` switches
+    to column generation above the radix threshold).  Only a *resolved*
+    ``"colgen"`` enters the key: ``"full"`` and an ``"auto"`` that
+    resolves to it solve the identical model and share entries, while
+    lazy-row solves, exact only to the separation tolerance, do not.
     """
 
     kind: str
@@ -106,59 +143,17 @@ class DesignTask:
     sense: str = "<="
     sample: tuple = ()
     label: str = ""
-    algorithm: str = ""
-    faults: tuple = ()
-    reroute: str = "detour"
     bandwidths: tuple = ()
-    phases: int = 0
-    phase_length: int = 1
     method: str = "auto"
+    spec: FaultSpec | RotorSpec | None = None
 
     def __post_init__(self):
-        if self.kind not in TASK_KINDS:
+        if self.kind not in KINDS:
             raise ValueError(
-                f"unknown task kind {self.kind!r}; choose from {TASK_KINDS}"
+                f"unknown task kind {self.kind!r}; choose from {tuple(KINDS)}"
             )
-        if self.kind in ("wc_point", "avg_point") and self.ratio is None:
-            raise ValueError(f"{self.kind} task needs a locality ratio")
-        if self.kind in ("avg_point", "twoturn_avg") and not self.sample:
-            raise ValueError(f"{self.kind} task needs a traffic sample")
-        if self.kind == "fault_wc":
-            if self.algorithm not in FAULT_ALGORITHMS:
-                raise ValueError(
-                    f"fault_wc task needs algorithm from {FAULT_ALGORITHMS}, "
-                    f"got {self.algorithm!r}"
-                )
-            if self.reroute not in ("renormalize", "detour"):
-                raise ValueError(
-                    f"unknown reroute mode {self.reroute!r} for fault_wc task"
-                )
-        if self.kind == "rotor_wc":
-            if self.algorithm not in ROTOR_SCHEMES:
-                raise ValueError(
-                    f"rotor_wc task needs a scheme from {ROTOR_SCHEMES}, "
-                    f"got {self.algorithm!r}"
-                )
-            if self.phases < 1:
-                raise ValueError("rotor_wc task needs phases >= 1")
-            if self.phase_length < 1:
-                raise ValueError("rotor_wc task needs phase_length >= 1")
-        from repro.core.worst_case import DESIGN_METHODS
-
-        if self.method not in DESIGN_METHODS:
-            raise ValueError(
-                f"unknown design method {self.method!r}; "
-                f"choose from {DESIGN_METHODS}"
-            )
-        if self.method != "auto" and self.kind not in ("wc_point", "wc_opt"):
-            raise ValueError(
-                f"method={self.method!r} applies to wc_point/wc_opt tasks, "
-                f"not {self.kind!r}"
-            )
+        KINDS[self.kind].validate(self)
         object.__setattr__(self, "sample", tuple(self.sample))
-        object.__setattr__(
-            self, "faults", tuple(sorted({int(c) for c in self.faults}))
-        )
         bandwidths = tuple(float(b) for b in self.bandwidths)
         if bandwidths and len(bandwidths) != self.n:
             raise ValueError(
@@ -180,31 +175,63 @@ class DesignTask:
         }
         if self.bandwidths:
             payload["bandwidths"] = [float(b) for b in self.bandwidths]
-        if self.kind in ("wc_point", "wc_opt"):
-            from repro.core.worst_case import resolve_design_method
-
-            if resolve_design_method(self.method, self.k**self.n) == "colgen":
-                payload["method"] = "colgen"
         if self.sample:
             payload["sample"] = sample_digest(self.sample)
-        if self.kind == "fault_wc":
-            from repro.faults import FaultSet
-
-            payload["algorithm"] = self.algorithm
-            payload["faults"] = FaultSet(channels=self.faults).digest()
-            payload["reroute"] = self.reroute
-        if self.kind == "rotor_wc":
-            payload["scheme"] = self.algorithm
-            payload["schedule"] = self._rotor_schedule().digest()
+        payload.update(KINDS[self.kind].key_fields(self))
         return payload
 
-    def _rotor_schedule(self):
-        """Rebuild the round-robin schedule a ``rotor_wc`` task names."""
-        from repro.rotor import RotorSchedule
 
-        return RotorSchedule.round_robin(
-            self.k**2, self.phases, phase_length=self.phase_length
-        )
+@dataclasses.dataclass(frozen=True)
+class TaskKind:
+    """One row of :data:`KINDS`: everything kind-specific about a task.
+
+    ``solve(task)`` returns ``(load, avg_path_length, model_stats, doc
+    fields)``; ``recheck(doc, tol, subject)`` returns the checks that
+    re-certify a cached entry without re-solving it
+    (:func:`repro.verify.certificates.recheck_cached_doc` adds the LP
+    certificate checks every kind shares).
+    """
+
+    solve: Callable
+    recheck: Callable
+    needs_ratio: bool = False
+    needs_sample: bool = False
+    #: takes a worst-case ``method``; a resolved colgen enters the key
+    takes_method: bool = False
+    #: the spec class its tasks carry (``None``: no spec)
+    spec: type | None = None
+
+    def validate(self, task: DesignTask) -> None:
+        from repro.core.worst_case import resolve_design_method
+
+        if self.needs_ratio and task.ratio is None:
+            raise ValueError(f"{task.kind} task needs a locality ratio")
+        if self.needs_sample and not task.sample:
+            raise ValueError(f"{task.kind} task needs a traffic sample")
+        if self.takes_method:
+            resolve_design_method(task.method, task.k**task.n)  # validates
+        elif task.method != "auto":
+            raise ValueError(
+                f"method={task.method!r} applies to worst-case designs, "
+                f"not {task.kind!r}"
+            )
+        if not isinstance(task.spec, self.spec or type(None)):
+            raise ValueError(
+                f"{task.kind} task needs spec of type "
+                f"{(self.spec or type(None)).__name__}, got {task.spec!r}"
+            )
+
+    def key_fields(self, task: DesignTask) -> dict:
+        """Cache-key fields beyond the ones every task has."""
+        from repro.core.worst_case import resolve_design_method
+
+        fields = {}
+        n = task.k**task.n
+        if self.takes_method and resolve_design_method(task.method, n) == "colgen":
+            fields["method"] = "colgen"
+        if task.spec is not None:
+            fields.update(task.spec.key_fields(int(task.k)))
+        return fields
 
 
 @dataclasses.dataclass(frozen=True)
@@ -223,47 +250,15 @@ class TaskMetrics:
     nonzeros: int
 
     CSV_HEADERS = (
-        "label",
-        "kind",
-        "k",
-        "n",
-        "ratio",
-        "cache_hit",
-        "solve_time_s",
-        "lp_variables",
-        "lp_rows",
-        "lp_nonzeros",
-    )
+        "label", "kind", "k", "n", "ratio", "cache_hit",
+        "solve_time_s", "lp_variables", "lp_rows", "lp_nonzeros",
+    )  # fmt: skip
 
     def row(self) -> tuple:
-        return (
-            self.label,
-            self.kind,
-            self.k,
-            self.n,
-            "" if self.ratio is None else self.ratio,
-            int(self.cache_hit),
-            self.solve_time,
-            self.variables,
-            self.rows,
-            self.nonzeros,
-        )
-
-    @classmethod
-    def from_event_attrs(cls, attrs: dict) -> TaskMetrics:
-        """Rebuild a metrics row from an ``engine.task`` span's attrs."""
-        return cls(
-            label=attrs["label"],
-            kind=attrs["kind"],
-            k=int(attrs["k"]),
-            n=int(attrs["n"]),
-            ratio=attrs.get("ratio"),
-            cache_hit=bool(attrs["cache_hit"]),
-            solve_time=float(attrs["solve_time"]),
-            variables=int(attrs["variables"]),
-            rows=int(attrs["rows"]),
-            nonzeros=int(attrs["nonzeros"]),
-        )
+        """CSV cells: a blank ratio when unset, ``cache_hit`` as 0/1."""
+        ratio = "" if self.ratio is None else self.ratio
+        cells = dataclasses.astuple(self)
+        return (*cells[:4], ratio, int(self.cache_hit), *cells[6:])
 
 
 @dataclasses.dataclass
@@ -310,29 +305,35 @@ class TaskResult:
         )
 
 
+class TaskError(RuntimeError):
+    """A task's solve raised (the exception is ``__cause__``); raised by
+    :meth:`Engine.run` for the first failure in task order, after every
+    other task has run and been cached."""
+
+    def __init__(self, task: DesignTask, exc: BaseException, failed: int = 1):
+        more = f" (and {failed - 1} more failed task(s))" if failed > 1 else ""
+        super().__init__(
+            f"task {task.label or task.kind!r} failed{more}: "
+            f"{type(exc).__name__}: {exc}\n"
+            f"payload: {json.dumps(task.cache_payload(), sort_keys=True)}"
+        )
+        self.task = task
+
+
 def solve_task(task: DesignTask, certify: bool = False) -> dict:
     """Execute one design task; returns the JSON-serializable entry doc.
 
-    Module-level so :class:`concurrent.futures.ProcessPoolExecutor` can
-    pickle it; imports stay inside to keep worker start-up lean.
+    Module-level so a process pool can pickle it.  With ``certify=True``
+    every LP solved yields a duality certificate, stored on the doc (and
+    so in the cache) under ``"certificates"``; an invalid one raises
+    ``CertificationError``.
 
-    With ``certify=True`` every LP solved for the task yields a duality
-    certificate (:mod:`repro.verify.certificates`); the certificates are
-    stored on the doc under ``"certificates"`` — and therefore in the
-    design cache — and an invalid one raises ``CertificationError``
-    instead of returning a result.
-
-    The solve runs inside an ``engine.solve_task`` trace span, and every
-    event it produced (this span, nested ``lp.solve`` spans, ...) is
-    piggybacked on the returned doc under ``"obs_events"`` so pool
-    workers can ship their trace back on the existing result path.
-    Metrics follow the same route: the solve runs under an *isolated*
-    metrics registry whose dump ships as ``"obs_metrics"`` — and unlike
-    events, the engine merges it on the same path for serial and
-    parallel runs, so the process registry is identical either way.  A
-    resource-usage delta (RSS peak, user/sys CPU) ships as
-    ``"resources"``.  The engine strips all three keys before the doc
-    reaches the cache.
+    The doc also ships what the solve observed: its trace events
+    (``"obs_events"``, re-ingested by the parent for pooled runs), an
+    isolated metrics registry (``"obs_metrics"``, merged by the parent
+    in both modes, so the process registry is identical either way) and
+    a resource delta (``"resources"``).  The engine strips all three
+    before the doc reaches the cache.
     """
     tracer = obs.get_tracer()
     mark = tracer.mark()
@@ -354,11 +355,11 @@ def solve_task(task: DesignTask, certify: bool = False) -> dict:
             from repro.verify.certificates import collect_certificates
 
             with collect_certificates() as collector:
-                doc = _solve_task_body(task)
+                doc = _solve_doc(task)
             collector.require(task.label or task.kind)
             doc["certificates"] = collector.to_docs()
         else:
-            doc = _solve_task_body(task)
+            doc = _solve_doc(task)
     events = tracer.events_since(mark)
     if base:
         prefix = base + "/"
@@ -371,101 +372,115 @@ def solve_task(task: DesignTask, certify: bool = False) -> dict:
     return doc
 
 
-def _solve_task_body(task: DesignTask) -> dict:
-    from repro.core.average_case import design_average_case
-    from repro.core.worst_case import design_worst_case
-    from repro.routing.serialize import flows_to_doc, routing_to_doc
-    from repro.routing.twoturn import design_2turn, design_2turn_average
-    from repro.topology.symmetry import TranslationGroup
-    from repro.topology.torus import Torus
-
-    if task.kind == "rotor_wc":
-        # Rotor tasks run on the schedule's complete digraph, not a torus.
-        torus = group = None
-    else:
-        torus = Torus(
-            int(task.k), int(task.n), bandwidths=task.bandwidths or None
-        )
-        group = TranslationGroup(torus)
-    sample = [np.asarray(m, dtype=np.float64) for m in task.sample]
+def _solve_doc(task: DesignTask) -> dict:
     start = time.perf_counter()
-    if task.kind == "wc_point":
-        design = design_worst_case(
-            torus,
-            locality_hops=float(task.ratio) * torus.mean_min_distance(),
-            locality_sense=task.sense,
-            group=group,
-            method=task.method,
-        )
-        load, payload = design.worst_case_load, {
-            "flows": flows_to_doc(design.flows, torus, name=task.kind)
-        }
-        payload.update(_colgen_doc(torus, group, design))
-        apl, stats = design.avg_path_length, design.model_stats
-    elif task.kind == "wc_opt":
-        design = design_worst_case(
-            torus, minimize_locality=True, group=group, method=task.method
-        )
-        load, payload = design.worst_case_load, {
-            "flows": flows_to_doc(design.flows, torus, name=task.kind)
-        }
-        payload.update(_colgen_doc(torus, group, design))
-        apl, stats = design.avg_path_length, design.model_stats
-    elif task.kind == "avg_point":
-        design = design_average_case(
-            torus,
-            sample,
-            locality_hops=float(task.ratio) * torus.mean_min_distance(),
-            locality_sense=task.sense,
-            group=group,
-        )
-        load, payload = design.average_load, {
-            "flows": flows_to_doc(design.flows, torus, name=task.kind)
-        }
-        apl, stats = design.avg_path_length, design.model_stats
-    elif task.kind == "twoturn":
-        design = design_2turn(torus, group)
-        load, payload = design.objective_load, {
-            "routing": routing_to_doc(design.routing)
-        }
-        apl, stats = design.avg_path_length, design.model_stats
-    elif task.kind == "twoturn_avg":
-        design = design_2turn_average(torus, sample, group)
-        load, payload = design.objective_load, {
-            "routing": routing_to_doc(design.routing)
-        }
-        apl, stats = design.avg_path_length, design.model_stats
-    elif task.kind == "fault_wc":
-        load, apl, stats, payload = _solve_fault_wc(task, torus, group)
-    elif task.kind == "rotor_wc":
-        load, apl, stats, payload = _solve_rotor_wc(task)
-    else:  # pragma: no cover - guarded by DesignTask.__post_init__
-        raise ValueError(f"unknown task kind {task.kind!r}")
-    elapsed = time.perf_counter() - start
-
+    load, apl, stats, fields = KINDS[task.kind].solve(task)
     doc = {
         "payload": task.cache_payload(),
         "load": float(load),
         "avg_path_length": float(apl),
         "model_stats": dict(stats),
-        "solve_time": elapsed,
+        "solve_time": time.perf_counter() - start,
     }
-    doc.update(payload)
+    doc.update(fields)
     return doc
 
 
-def _colgen_doc(torus, group, design) -> dict:
-    """Doc fields a column-generation design adds to its cache entry.
+def _late(module: str, name: str, **kwargs) -> Callable:
+    """Call ``module.name`` looked up at call time, so a function wrapped
+    by module attribute (as the benchmark probes do) is the one that runs."""
 
-    Empty for full-LP designs.  A colgen design never materialized the
-    full constraint set, so its entry must carry (a) the loop stats —
-    master lower bound included — and (b) a freshly derived duality
-    certificate against the full set
-    (:func:`repro.verify.colgen.certify_colgen_design`).  Certification
-    here is unconditional (not gated on ``--certify``): an unconverged
-    or buggy master must never populate the cache.
+    def call(*args):
+        return getattr(importlib.import_module(module), name)(*args, **kwargs)
+
+    return call
+
+
+def _torus(task: DesignTask):
+    from repro.topology.symmetry import TranslationGroup
+    from repro.topology.torus import Torus
+
+    torus = Torus(int(task.k), int(task.n), bandwidths=task.bandwidths or None)
+    return torus, TranslationGroup(torus)
+
+
+def _sample(task: DesignTask) -> list[np.ndarray]:
+    return [np.asarray(m, dtype=np.float64) for m in task.sample]
+
+
+def _hops(task: DesignTask, torus) -> float:
+    return float(task.ratio) * torus.mean_min_distance()
+
+
+def _wc_point(task, torus, group):
+    from repro.core.worst_case import design_worst_case
+
+    design = design_worst_case(
+        torus, _hops(task, torus), task.sense, group=group, method=task.method
+    )
+    return design, design.worst_case_load
+
+
+def _wc_opt(task, torus, group):
+    from repro.core.worst_case import design_worst_case
+
+    design = design_worst_case(
+        torus, minimize_locality=True, group=group, method=task.method
+    )
+    return design, design.worst_case_load
+
+
+def _avg_point(task, torus, group):
+    from repro.core.average_case import design_average_case
+
+    design = design_average_case(
+        torus, _sample(task), _hops(task, torus), task.sense, group=group
+    )
+    return design, design.average_load
+
+
+def _twoturn(task, torus, group):
+    from repro.routing.twoturn import design_2turn
+
+    design = design_2turn(torus, group)
+    return design, design.objective_load
+
+
+def _twoturn_avg(task, torus, group):
+    from repro.routing.twoturn import design_2turn_average
+
+    design = design_2turn_average(torus, _sample(task), group)
+    return design, design.objective_load
+
+
+def _lp_design(design_fn) -> Callable:
+    """``solve`` for an LP design kind whose ``design_fn(task, torus,
+    group)`` returns ``(design, load)``.  Path designs store their
+    routing table; flow designs their canonical flows, plus the
+    certificate of a column-generation solve."""
+
+    def solve(task: DesignTask):
+        from repro.routing.serialize import flows_to_doc, routing_to_doc
+
+        torus, group = _torus(task)
+        design, load = design_fn(task, torus, group)
+        if hasattr(design, "routing"):
+            fields = {"routing": routing_to_doc(design.routing)}
+        else:
+            fields = {"flows": flows_to_doc(design.flows, torus, name=task.kind)}
+            fields.update(_colgen_doc(torus, group, design))
+        return load, design.avg_path_length, design.model_stats, fields
+
+    return solve
+
+
+def _colgen_doc(torus, group, design) -> dict:
+    """Doc fields a column-generation design adds to its cache entry:
+    the loop stats and a duality certificate against the full constraint
+    set it never materialized.  Certification is unconditional, so an
+    unconverged or buggy master never populates the cache.
     """
-    if design.method != "colgen":
+    if getattr(design, "method", "full") != "colgen":
         return {}
     from repro.verify.certificates import CertificationError
     from repro.verify.colgen import certify_colgen_design
@@ -493,117 +508,37 @@ def _colgen_doc(torus, group, design) -> dict:
     }
 
 
-def _build_fault_algorithm(name: str, torus, group):
-    """Materialize a named base algorithm for a ``fault_wc`` task."""
-    from repro.routing import IVAL, VAL, DimensionOrderRouting
-    from repro.routing.twoturn import design_2turn
+_VERIFY = "repro.verify.certificates"
+#: LP designs re-measure their stored load, except average-case ones,
+#: whose design sample is cached as a digest only.
+_REMEASURED = _late(_VERIFY, "recheck_design", remeasure=True)
+_NOT_REMEASURED = _late(_VERIFY, "recheck_design", remeasure=False)
 
-    if name == "DOR":
-        return DimensionOrderRouting(torus), {}
-    if name == "VAL":
-        return VAL(torus), {}
-    if name == "IVAL":
-        return IVAL(torus), {}
-    if name == "2TURN":
-        design = design_2turn(torus, group)
-        return design.routing, dict(design.model_stats)
-    raise ValueError(f"unknown fault_wc algorithm {name!r}")
-
-
-def _solve_fault_wc(task: DesignTask, torus, group):
-    """Evaluate a degraded routing's exact worst-case load.
-
-    A disconnected commodity under the task's reroute policy (e.g. DOR
-    with ``renormalize`` on any link failure) is a legitimate outcome,
-    not an error: the doc records ``disconnected=True`` with a load of
-    ``0.0`` (JSON cannot hold inf; guaranteed throughput is 0 either
-    way).
-    """
-    from repro.faults import (
-        DisconnectedCommodityError,
-        FaultSet,
-        degrade,
-        degrade_routing,
-    )
-    from repro.metrics import general_worst_case_load
-
-    base_alg, stats = _build_fault_algorithm(task.algorithm, torus, group)
-    degraded = degrade(torus, FaultSet(channels=task.faults))
-    routing = degrade_routing(base_alg, degraded, mode=task.reroute)
-    obs.metric_count(
-        "faults.evaluations", algorithm=task.algorithm, reroute=task.reroute
-    )
-    try:
-        flows = routing.full_flows()
-        wc = general_worst_case_load(degraded, flows)
-    except DisconnectedCommodityError:
-        obs.metric_count("faults.disconnected", algorithm=task.algorithm)
-        payload = {
-            "disconnected": True,
-            "wc_channel": None,
-            "num_faults": len(task.faults),
-        }
-        # 0.0 for both: JSON (and the cache files) cannot hold inf/nan.
-        return 0.0, 0.0, stats, payload
-    payload = {
-        "disconnected": False,
-        "wc_channel": int(wc.channel),
-        "num_faults": len(task.faults),
-    }
-    return float(wc.load), _mean_path_length(routing, degraded), stats, payload
-
-
-def _mean_path_length(routing, degraded) -> float:
-    """Mean expected hops over surviving commodities ``s != d``, each
-    pair's sum taken in table order."""
-    table = routing.path_table()
-    n = degraded.num_nodes
-    per_pair = np.bincount(
-        table.path_rows, weights=table.prob * table.hops, minlength=n * n
-    ).reshape(n, n)
-    alive = degraded.alive
-    return float(
-        np.mean(per_pair[np.outer(alive, alive) & ~np.eye(n, dtype=bool)])
-    )
-
-
-def _solve_rotor_wc(task: DesignTask):
-    """Evaluate a rotor scheme's phase-averaged worst-case load.
-
-    Every result is certified before it can reach the cache: the
-    per-phase witness permutations, bottleneck-phase membership and the
-    averaged dual are re-checked
-    (:func:`repro.rotor.certify.certify_periodic_worst_case`), so a bad
-    evaluator can never populate a poisoned entry.
-    """
-    from repro.rotor import (
-        ORNRouting,
-        VLBOnRotor,
-        certify_periodic_worst_case,
-        periodic_worst_case_load,
-    )
-
-    schedule = task._rotor_schedule()
-    if task.algorithm == "VLBR":
-        alg = VLBOnRotor(schedule.base)
-    else:
-        alg = ORNRouting(schedule.base, k=int(task.k))
-    obs.metric_count("rotor.evaluations", scheme=task.algorithm)
-    flows = alg.full_flows()
-    result = periodic_worst_case_load(schedule, flows)
-    report = certify_periodic_worst_case(schedule, flows, result)
-    if not report.passed:
-        raise ValueError(
-            "periodic worst-case certificate failed\n" + report.render()
-        )
-    payload = {
-        "scheme": task.algorithm,
-        "num_phases": int(schedule.num_phases),
-        "schedule_digest": schedule.digest(),
-        "phase_loads": [float(r.load) for r in result.phase_results],
-        "wc_channels": [int(r.channel) for r in result.phase_results],
-    }
-    return float(result.load), alg.average_path_length(), {}, payload
+#: The handler table: task kind -> :class:`TaskKind`.  A new experiment
+#: adds a row (and, for fields of its own, a spec class), not engine code.
+KINDS: dict[str, TaskKind] = {
+    "wc_point": TaskKind(
+        _lp_design(_wc_point), _REMEASURED, needs_ratio=True, takes_method=True
+    ),
+    "wc_opt": TaskKind(_lp_design(_wc_opt), _REMEASURED, takes_method=True),
+    "avg_point": TaskKind(
+        _lp_design(_avg_point), _NOT_REMEASURED, needs_ratio=True, needs_sample=True
+    ),
+    "twoturn": TaskKind(_lp_design(_twoturn), _REMEASURED),
+    "twoturn_avg": TaskKind(
+        _lp_design(_twoturn_avg), _NOT_REMEASURED, needs_sample=True
+    ),
+    "fault_wc": TaskKind(
+        _late("repro.experiments.faults", "solve_fault_wc"),
+        _late(_VERIFY, "recheck_evaluation"),
+        spec=FaultSpec,
+    ),
+    "rotor_wc": TaskKind(
+        _late("repro.experiments.rotor", "solve_rotor_wc"),
+        _late(_VERIFY, "recheck_evaluation", required=("phase_loads",)),
+        spec=RotorSpec,
+    ),
+}
 
 
 class Engine:
@@ -612,23 +547,19 @@ class Engine:
     Parameters
     ----------
     jobs:
-        Worker count; ``None`` resolves via :func:`resolve_jobs`
-        (``$REPRO_JOBS``, else CPU count).  ``1`` solves in-process.
+        Worker count; ``None`` resolves via :func:`resolve_jobs`.  ``1``
+        solves in-process.
     cache:
-        A :class:`DesignCache`, or ``None`` to disable caching.  The
-        default uses the standard cache directory
-        (``$REPRO_CACHE_DIR`` / ``~/.cache/repro-designs``).
+        A :class:`DesignCache`, or ``None`` to disable caching; the
+        default uses ``$REPRO_CACHE_DIR`` / ``~/.cache/repro-designs``.
     certify:
-        Certify every design (CLI ``--certify``): fresh solves get LP
-        duality certificates attached to their cache entries, cache hits
-        are re-checked (:func:`repro.verify.certificates.recheck_cached_doc`)
-        without re-solving.  Certification never enters the cache key —
-        certified and uncertified runs share entries.
+        Certify every design (CLI ``--certify``): fresh solves attach LP
+        duality certificates to their entries, cache hits are re-checked
+        (:func:`repro.verify.certificates.recheck_cached_doc`) without
+        re-solving.  Certification never enters the cache key.
     progress:
-        Optional ``(done, total, hits)`` callback invoked from task
-        lifecycle events (cache scan, per-task completion) — e.g. a
-        :class:`repro.obs.progress.ProgressReporter` (CLI ``--progress``).
-        Progress is display-only and never alters execution order.
+        Optional display-only ``(done, total, hits)`` callback, called
+        after the cache scan and per task completion (CLI ``--progress``).
     """
 
     _DEFAULT_CACHE = object()
@@ -644,20 +575,24 @@ class Engine:
         self.cache = DesignCache() if cache is Engine._DEFAULT_CACHE else cache
         self.certify = bool(certify)
         self.progress = progress
-        #: attrs of every ``engine.task`` event this engine emitted, in
-        #: completion order — :attr:`metrics` is a view over these.
-        self._task_events: list[dict] = []
+        #: one record per task this engine ran, in task order per run
+        self.metrics: list[TaskMetrics] = []
 
-    # ------------------------------------------------------------------
     def run(self, tasks: Sequence[DesignTask]) -> list[TaskResult]:
-        """Execute tasks (cache -> pool -> cache), preserving order."""
+        """Execute tasks (cache -> solve -> cache), preserving order.
+
+        Every outstanding task runs even when another fails, and each
+        result is cached as it lands; then the first failure in task
+        order is raised as a :class:`TaskError`, so a rerun resumes from
+        the cache.
+        """
         tracer = obs.get_tracer()
         registry = obs.get_registry()
         tasks = list(tasks)
         with obs.span("engine.run", tasks=len(tasks), jobs=self.jobs) as sp:
             t_dispatch = time.perf_counter()
             results: list[TaskResult | None] = [None] * len(tasks)
-            pending: list[tuple[int, DesignTask, str | None]] = []
+            pending: list[tuple[int, str | None]] = []
             for i, task in enumerate(tasks):
                 key = doc = None
                 if self.cache is not None:
@@ -668,74 +603,79 @@ class Engine:
                         self._recheck(task, doc)
                     results[i] = self._make_result(task, doc, cache_hit=True)
                 else:
-                    pending.append((i, task, key))
+                    pending.append((i, key))
             hits = len(tasks) - len(pending)
             self._report_progress(hits, len(tasks), hits)
 
-            if pending:
-                todo = [task for _, task, _ in pending]
-                worker = functools.partial(solve_task, certify=self.certify)
-                done_at = [0.0] * len(todo)
-                if self.jobs == 1 or len(todo) == 1:
-                    # In-process: spans land on this tracer directly, so
-                    # the piggybacked copies are dropped, not re-ingested.
-                    docs = []
-                    for j, task in enumerate(todo):
-                        docs.append(worker(task))
-                        done_at[j] = time.perf_counter()
-                        self._report_progress(
-                            hits + len(docs), len(tasks), hits
-                        )
-                    for doc in docs:
-                        doc.pop("obs_events", None)
+            todo = [tasks[i] for i, _ in pending]
+            pooled = self.jobs > 1 and len(todo) > 1
+            shipped: dict[int, tuple] = {}
+            failures: dict[int, BaseException] = {}
+            completions = self._completions(todo, pooled)
+            for done, (j, outcome) in enumerate(completions, start=1):
+                i, key = pending[j]
+                if isinstance(outcome, BaseException):
+                    failures[i] = outcome
                 else:
-                    workers = min(self.jobs, len(todo))
-                    with concurrent.futures.ProcessPoolExecutor(
-                        max_workers=workers
-                    ) as pool:
-                        # submit/as_completed (rather than pool.map) so
-                        # progress ticks per completion; docs are still
-                        # collected — and their events/metrics ingested —
-                        # in submission order, keeping traces and
-                        # registries deterministic.
-                        futs = [pool.submit(worker, task) for task in todo]
-                        index = {fut: j for j, fut in enumerate(futs)}
-                        completed = 0
-                        for fut in concurrent.futures.as_completed(futs):
-                            done_at[index[fut]] = time.perf_counter()
-                            completed += 1
-                            self._report_progress(
-                                hits + completed, len(tasks), hits
-                            )
-                        docs = [fut.result() for fut in futs]
-                    for doc in docs:
-                        tracer.ingest(doc.pop("obs_events", []))
-                for j, ((i, task, key), doc) in enumerate(zip(pending, docs)):
-                    registry.merge(doc.pop("obs_metrics", None))
-                    resources = doc.pop("resources", None)
-                    if self.cache is not None and key is not None:
-                        self.cache.put(key, doc)
+                    shipped[i] = (
+                        outcome.pop("obs_events", []),
+                        outcome.pop("obs_metrics", None),
+                        time.perf_counter(),
+                    )
+                    resources = outcome.pop("resources", None)
+                    if key is not None:
+                        self.cache.put(key, outcome)
                     results[i] = self._make_result(
-                        task, doc, cache_hit=False, resources=resources
+                        tasks[i], outcome, cache_hit=False, resources=resources
                     )
-                    wait = done_at[j] - t_dispatch - float(
-                        doc.get("solve_time", 0.0)
-                    )
-                    obs.metric_observe(
-                        "engine.queue_wait_seconds", max(0.0, wait), volatile=True
-                    )
+                self._report_progress(hits + done, len(tasks), hits)
 
-            out = [r for r in results if r is not None]
-            assert len(out) == len(tasks)
-            for result in out:
-                self._record_task_event(tracer, result)
+            # Ingest in task order, not completion order, so traces and
+            # registries do not depend on worker scheduling.  In-process
+            # solves already put their spans on this tracer.
+            for i in sorted(shipped):
+                events, worker_metrics, done_at = shipped[i]
+                if pooled:
+                    tracer.ingest(events)
+                registry.merge(worker_metrics)
+                wait = done_at - t_dispatch - results[i].solve_time
+                obs.metric_observe(
+                    "engine.queue_wait_seconds", max(0.0, wait), volatile=True
+                )
+            for result in results:
+                if result is not None:
+                    self._record_task_event(tracer, result)
             obs.metric_count("engine.tasks", len(tasks))
             obs.metric_count("engine.cache_hits", hits)
             obs.metric_count("engine.cache_misses", len(pending))
             if tasks:
                 obs.metric_gauge("engine.cache_hit_rate", hits / len(tasks))
             sp.set(solves=len(pending), hits=hits)
-        return out
+            if failures:
+                first = min(failures)
+                raise TaskError(
+                    tasks[first], failures[first], len(failures)
+                ) from failures[first]
+        return results
+
+    def _completions(self, todo: list[DesignTask], pooled: bool):
+        """Yield ``(j, doc or exception)`` as each of ``todo`` finishes."""
+        worker = functools.partial(solve_task, certify=self.certify)
+        if not pooled:
+            for j, task in enumerate(todo):
+                try:
+                    outcome = worker(task)
+                except Exception as exc:
+                    outcome = exc
+                yield j, outcome
+            return
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(self.jobs, len(todo))
+        ) as pool:
+            futs = {pool.submit(worker, task): j for j, task in enumerate(todo)}
+            for fut in concurrent.futures.as_completed(futs):
+                exc = fut.exception()
+                yield futs[fut], fut.result() if exc is None else exc
 
     def _report_progress(self, done: int, total: int, hits: int) -> None:
         if self.progress is not None:
@@ -757,12 +697,7 @@ class Engine:
             )
 
     @staticmethod
-    def _make_result(
-        task: DesignTask,
-        doc: dict,
-        cache_hit: bool,
-        resources: dict | None = None,
-    ) -> TaskResult:
+    def _make_result(task, doc, cache_hit, resources=None) -> TaskResult:
         return TaskResult(
             task=task,
             load=float(doc["load"]),
@@ -775,20 +710,9 @@ class Engine:
         )
 
     def _record_task_event(self, tracer, result: TaskResult) -> None:
-        """Publish one ``engine.task`` span event; metrics read these."""
+        """Record one task's metrics and publish its ``engine.task`` span."""
         m = result.metrics()
-        attrs = {
-            "label": m.label,
-            "kind": m.kind,
-            "k": m.k,
-            "n": m.n,
-            "ratio": m.ratio,
-            "cache_hit": m.cache_hit,
-            "solve_time": m.solve_time,
-            "variables": m.variables,
-            "rows": m.rows,
-            "nonzeros": m.nonzeros,
-        }
+        attrs = dataclasses.asdict(m)
         if result.resources:
             attrs.update(result.resources)
         tracer.emit_span(
@@ -798,13 +722,7 @@ class Engine:
             obs.metric_observe(
                 "engine.task_seconds", m.solve_time, volatile=True
             )
-        self._task_events.append(attrs)
-
-    # ------------------------------------------------------------------
-    @property
-    def metrics(self) -> list[TaskMetrics]:
-        """Per-task metrics — a view over the ``engine.task`` events."""
-        return [TaskMetrics.from_event_attrs(a) for a in self._task_events]
+        self.metrics.append(m)
 
     @property
     def solves(self) -> int:

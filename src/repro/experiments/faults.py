@@ -47,10 +47,19 @@ from repro.experiments.engine import (
     FAULT_ALGORITHMS,
     DesignTask,
     Engine,
+    FaultSpec,
     ensure_engine,
 )
-from repro.faults import FaultSet, degrade, degrade_routing, random_faults
+from repro.faults import (
+    DisconnectedCommodityError,
+    FaultSet,
+    degrade,
+    degrade_routing,
+    random_faults,
+)
+from repro.metrics import general_worst_case_load
 from repro.routing import IVAL, VAL, DimensionOrderRouting
+from repro.routing.twoturn import design_2turn
 from repro.sim import saturation_throughput_batch
 from repro.topology.symmetry import TranslationGroup
 from repro.topology.torus import Torus
@@ -80,17 +89,58 @@ class FaultsData:
         return f"{body}\nfailed-channel sequence: {chans}"
 
 
+def solve_fault_wc(task: DesignTask):
+    """Solve of the ``fault_wc`` engine kind: a degraded routing's exact
+    worst-case load.  A commodity the reroute policy disconnects (DOR
+    under ``renormalize`` on any link failure) is a result, not an
+    error: ``disconnected=True`` with load 0."""
+    spec = task.spec
+    torus = Torus(int(task.k), int(task.n), bandwidths=task.bandwidths or None)
+    if spec.algorithm == "2TURN":
+        design = design_2turn(torus, TranslationGroup(torus))
+        base_alg, stats = design.routing, dict(design.model_stats)
+    else:
+        base_alg, stats = _PLAIN_ALGORITHMS[spec.algorithm](torus), {}
+    degraded = degrade(torus, FaultSet(channels=spec.channels))
+    routing = degrade_routing(base_alg, degraded, mode=spec.reroute)
+    obs.metric_count(
+        "faults.evaluations", algorithm=spec.algorithm, reroute=spec.reroute
+    )
+    doc = {"disconnected": True, "wc_channel": None, "num_faults": len(spec.channels)}
+    try:
+        wc = general_worst_case_load(degraded, routing.full_flows())
+    except DisconnectedCommodityError:
+        obs.metric_count("faults.disconnected", algorithm=spec.algorithm)
+        # 0.0 for both: JSON (and the cache files) cannot hold inf/nan.
+        return 0.0, 0.0, stats, doc
+    doc.update(disconnected=False, wc_channel=int(wc.channel))
+    return float(wc.load), mean_path_length(routing, degraded), stats, doc
+
+
+def mean_path_length(routing, degraded) -> float:
+    """Mean expected hops over surviving commodities ``s != d``, each
+    pair's sum taken in table order."""
+    table = routing.path_table()
+    n = degraded.num_nodes
+    per_pair = np.bincount(
+        table.path_rows, weights=table.prob * table.hops, minlength=n * n
+    ).reshape(n, n)
+    alive = degraded.alive
+    return float(
+        np.mean(per_pair[np.outer(alive, alive) & ~np.eye(n, dtype=bool)])
+    )
+
+
+#: The fault sweep's algorithms that need no design LP.
+_PLAIN_ALGORITHMS = {"DOR": DimensionOrderRouting, "VAL": VAL, "IVAL": IVAL}
+
+
 def _base_algorithms(torus: Torus, engine: Engine) -> dict:
-    group = TranslationGroup(torus)
     two_turn = engine.run_one(
         DesignTask(kind="twoturn", k=torus.k, n=torus.n, label="faults:2TURN")
     ).routing(torus)
-    return {
-        "DOR": DimensionOrderRouting(torus),
-        "VAL": VAL(torus),
-        "IVAL": IVAL(torus),
-        "2TURN": two_turn,
-    }
+    bases = {name: cls(torus) for name, cls in _PLAIN_ALGORITHMS.items()}
+    return {**bases, "2TURN": two_turn}
 
 
 def run(
@@ -140,9 +190,7 @@ def run(
                 kind="fault_wc",
                 k=k,
                 n=2,
-                algorithm=alg,
-                faults=sequence.channels[:f],
-                reroute=reroute,
+                spec=FaultSpec(alg, sequence.channels[:f], reroute),
                 label=f"faults:{alg}@{f}",
             )
             for f in range(failures + 1)
@@ -158,9 +206,9 @@ def run(
         cases, case_rows = [], []
         for i, (task, result) in enumerate(zip(tasks, wc_results)):
             if not result.doc.get("disconnected"):
-                degraded = degrade(torus, FaultSet(channels=task.faults))
+                degraded = degrade(torus, FaultSet(channels=task.spec.channels))
                 routing = degrade_routing(
-                    bases[task.algorithm], degraded, mode=reroute
+                    bases[task.spec.algorithm], degraded, mode=reroute
                 )
                 cases.append(((), (), routing, traffic))
                 case_rows.append(i)
@@ -181,8 +229,8 @@ def run(
 
         rows = []
         for i, (task, result) in enumerate(zip(tasks, wc_results)):
-            f = len(task.faults)
-            alg = task.algorithm
+            f = len(task.spec.channels)
+            alg = task.spec.algorithm
             disconnected = bool(result.doc.get("disconnected"))
             theta_wc = 0.0 if disconnected else 1.0 / result.load
             est = ests.get(i)

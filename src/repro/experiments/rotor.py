@@ -36,9 +36,16 @@ from repro.experiments.engine import (
     ROTOR_SCHEMES,
     DesignTask,
     Engine,
+    RotorSpec,
     ensure_engine,
 )
-from repro.rotor import ORNRouting, RotorSchedule, VLBOnRotor
+from repro.rotor import (
+    ORNRouting,
+    RotorSchedule,
+    VLBOnRotor,
+    certify_periodic_worst_case,
+    periodic_worst_case_load,
+)
 from repro.sim import saturation_throughput_batch
 from repro.traffic import uniform
 
@@ -71,6 +78,32 @@ def _scheme_algorithm(scheme: str, base, k: int):
     if scheme == "VLBR":
         return VLBOnRotor(base)
     return ORNRouting(base, k=k)
+
+
+def solve_rotor_wc(task: DesignTask):
+    """Solve of the ``rotor_wc`` engine kind: a scheme's phase-averaged
+    worst-case load, certified
+    (:func:`repro.rotor.certify.certify_periodic_worst_case`) before it
+    can reach the cache, so a bad evaluator never poisons an entry."""
+    spec = task.spec
+    schedule = spec.schedule(int(task.k))
+    alg = _scheme_algorithm(spec.scheme, schedule.base, int(task.k))
+    obs.metric_count("rotor.evaluations", scheme=spec.scheme)
+    flows = alg.full_flows()
+    result = periodic_worst_case_load(schedule, flows)
+    report = certify_periodic_worst_case(schedule, flows, result)
+    if not report.passed:
+        raise ValueError(
+            "periodic worst-case certificate failed\n" + report.render()
+        )
+    fields = {
+        "scheme": spec.scheme,
+        "num_phases": int(schedule.num_phases),
+        "schedule_digest": schedule.digest(),
+        "phase_loads": [float(r.load) for r in result.phase_results],
+        "wc_channels": [int(r.channel) for r in result.phase_results],
+    }
+    return float(result.load), alg.average_path_length(), {}, fields
 
 
 def run(
@@ -126,9 +159,7 @@ def run(
             DesignTask(
                 kind="rotor_wc",
                 k=k,
-                algorithm=s,
-                phases=p,
-                phase_length=max(1, period // p),
+                spec=RotorSpec(s, p, phase_length=max(1, period // p)),
                 label=f"rotor:{s}@P{p}",
             )
             for p in range(1, phases + 1)
@@ -151,8 +182,8 @@ def run(
             cases=[
                 (
                     (),
-                    t._rotor_schedule().link_events(cycles),
-                    algorithms[t.algorithm],
+                    t.spec.schedule(k).link_events(cycles),
+                    algorithms[t.spec.scheme],
                     traffic,
                 )
                 for t in tasks
@@ -168,18 +199,19 @@ def run(
         rows = []
         for task, result, est in zip(tasks, wc_results, ests):
             theta_wc = 1.0 / result.load
+            spec = task.spec
             with obs.span(
                 "rotor.point",
-                phases=int(task.phases),
-                scheme=task.algorithm,
+                phases=int(spec.phases),
+                scheme=spec.scheme,
                 theta_wc=float(theta_wc),
             ) as sp:
                 sp.set(sat_lo=float(est.lower), sat_hi=float(est.upper))
-            obs.metric_count("rotor.cases", scheme=task.algorithm)
+            obs.metric_count("rotor.cases", scheme=spec.scheme)
             rows.append(
                 (
-                    int(task.phases),
-                    task.algorithm,
+                    int(spec.phases),
+                    spec.scheme,
                     float(theta_wc),
                     float(est.lower),
                     float(est.upper),

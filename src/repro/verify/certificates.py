@@ -290,6 +290,20 @@ def _load_recheck(stored_load: float, measured_load: float, tol: float) -> Check
     )
 
 
+def _check(name: str, passed: bool, detail: str) -> CheckResult:
+    return CheckResult(
+        name=name,
+        passed=passed,
+        violation=0.0 if passed else float("inf"),
+        tol=0.0,
+        detail=detail,
+    )
+
+
+def _skipped_load_recheck(tol: float, why: str) -> CheckResult:
+    return CheckResult("load_recheck", True, 0.0, tol, f"skipped: {why}")
+
+
 def recheck_cached_doc(
     doc: dict,
     tol: float = DUALITY_GAP_TOL,
@@ -297,31 +311,15 @@ def recheck_cached_doc(
 ) -> VerificationReport:
     """Re-certify a cached design document without re-solving its LP.
 
-    Three independent lines of evidence, by design kind:
-
-    1. every persisted certificate must still be internally consistent
-       (gap re-derived from its objectives, residuals within its tol);
-    2. stored flow tables must satisfy the flow invariants
-       (nonnegativity, conservation, channel-load symmetry); stored
-       routing tables must be valid path distributions;
-    3. the stored headline load must match an independent worst-case
-       re-measurement of the stored design (skipped for average-case
-       kinds, whose design sample is cached only as a digest);
-    4. column-generation designs (``doc["method"] == "colgen"``)
-       additionally re-derive their duality certificate against the
-       full constraint set
-       (:func:`repro.verify.colgen.certify_colgen_design`) — such
-       entries never solved the full LP, so the oracle/sampled/gap
-       battery is what stands in for its constraints.
-
+    Every persisted certificate must still be internally consistent
+    (gap re-derived from its objectives, residuals within its tol).  The
+    rest is the recheck of the entry's task kind
+    (:data:`repro.experiments.engine.KINDS`): :func:`recheck_design` for
+    LP designs, :func:`recheck_evaluation` for worst-case evaluations.
     Any corruption of the cached JSON — flows, table, load or
     certificate — fails at least one check.
     """
-    from repro.metrics.worst_case_eval import worst_case_load
-    from repro.routing.serialize import flows_from_doc, routing_from_doc
-    from repro.topology.symmetry import TranslationGroup
-    from repro.topology.torus import Torus
-    from repro.verify.invariants import check_distribution
+    from repro.experiments.engine import KINDS
 
     payload = doc.get("payload") or {}
     kind = str(payload.get("kind", "?"))
@@ -332,15 +330,7 @@ def recheck_cached_doc(
             try:
                 cert = Certificate.from_doc(cert_doc)
             except CertificationError as exc:
-                checks.append(
-                    CheckResult(
-                        name=f"certificate[{i}]",
-                        passed=False,
-                        violation=float("inf"),
-                        tol=float(tol),
-                        detail=str(exc),
-                    )
-                )
+                checks.append(_check(f"certificate[{i}]", False, str(exc)))
                 continue
             checks.append(
                 CheckResult(
@@ -355,90 +345,93 @@ def recheck_cached_doc(
                     detail=f"obj {cert.objective:.9g}",
                 )
             )
-
         try:
-            if "flows" in doc:
-                flows = flows_from_doc(doc["flows"])
-                topo = doc["flows"]["topology"]
-                bandwidths = tuple(
-                    float(b) for b in topo.get("bandwidths", ())
-                )
-                torus = Torus(
-                    int(topo["k"]), int(topo["n"]),
-                    bandwidths=bandwidths or None,
-                )
-                checks.extend(verify_flows(torus, flows, subject=kind).checks)
-                if kind in ("wc_point", "wc_opt"):
-                    group = TranslationGroup(torus)
-                    measured = worst_case_load(flows, torus, group).load
-                    checks.append(
-                        _load_recheck(float(doc["load"]), measured, load_tol)
-                    )
-                    if doc.get("method") == "colgen":
-                        from repro.verify.colgen import certify_colgen_design
-
-                        stats = doc.get("colgen") or {}
-                        checks.extend(
-                            certify_colgen_design(
-                                torus,
-                                flows,
-                                bound=float(doc["load"]),
-                                lower_bound=stats.get("lower_bound"),
-                                group=group,
-                                lexicographic=int(
-                                    stats.get("stage2_iterations", 0)
-                                )
-                                > 0,
-                            ).checks
-                        )
-                else:
-                    checks.append(
-                        CheckResult(
-                            name="load_recheck",
-                            passed=True,
-                            violation=0.0,
-                            tol=load_tol,
-                            detail="skipped: design sample cached as digest only",
-                        )
-                    )
-            elif "routing" in doc:
-                algorithm = routing_from_doc(doc["routing"])
-                checks.append(check_distribution(algorithm))
-                if kind == "twoturn":
-                    measured = worst_case_load(algorithm).load
-                    checks.append(
-                        _load_recheck(float(doc["load"]), measured, load_tol)
-                    )
-                else:
-                    checks.append(
-                        CheckResult(
-                            name="load_recheck",
-                            passed=True,
-                            violation=0.0,
-                            tol=load_tol,
-                            detail="skipped: design sample cached as digest only",
-                        )
-                    )
-            else:
-                checks.append(
-                    CheckResult(
-                        name="design_payload",
-                        passed=False,
-                        violation=float("inf"),
-                        tol=0.0,
-                        detail="entry stores neither flows nor routing",
-                    )
-                )
+            if kind not in KINDS:
+                raise ValueError(f"unknown task kind {kind!r}")
+            checks.extend(KINDS[kind].recheck(doc, load_tol, kind))
         except (KeyError, TypeError, ValueError) as exc:
-            checks.append(
-                CheckResult(
-                    name="design_payload",
-                    passed=False,
-                    violation=float("inf"),
-                    tol=0.0,
-                    detail=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            detail = f"{type(exc).__name__}: {exc}"
+            checks.append(_check("design_payload", False, detail))
         report = VerificationReport(subject=subject, checks=tuple(checks))
         sp.set(passed=report.passed, checks=len(checks))
     return report
+
+
+def recheck_design(
+    doc: dict, tol: float, subject: str, remeasure: bool
+) -> list[CheckResult]:
+    """Checks of a cached LP design entry.
+
+    Stored flow tables must satisfy the flow invariants (nonnegativity,
+    conservation, channel-load symmetry); stored routing tables must be
+    valid path distributions.  With ``remeasure`` the stored headline
+    load must match an independent worst-case re-measurement of the
+    stored design; without (average-case designs, whose design sample
+    is cached as a digest only) that check is skipped.  Column-generation
+    designs (``doc["method"] == "colgen"``) never solved the full LP, so
+    they also re-derive their duality certificate against the full
+    constraint set (:func:`repro.verify.colgen.certify_colgen_design`).
+    """
+    from repro.metrics.worst_case_eval import worst_case_load
+    from repro.routing.serialize import flows_from_doc, routing_from_doc
+    from repro.topology.symmetry import TranslationGroup
+    from repro.topology.torus import Torus
+    from repro.verify.invariants import check_distribution
+
+    if "flows" in doc:
+        flows = flows_from_doc(doc["flows"])
+        topo = doc["flows"]["topology"]
+        bandwidths = tuple(float(b) for b in topo.get("bandwidths", ()))
+        torus = Torus(int(topo["k"]), int(topo["n"]), bandwidths=bandwidths or None)
+        checks = list(verify_flows(torus, flows, subject=subject).checks)
+        if remeasure:
+            group = TranslationGroup(torus)
+            measured = worst_case_load(flows, torus, group).load
+            checks.append(_load_recheck(float(doc["load"]), measured, tol))
+        if remeasure and doc.get("method") == "colgen":
+            from repro.verify.colgen import certify_colgen_design
+
+            stats = doc.get("colgen") or {}
+            checks.extend(
+                certify_colgen_design(
+                    torus,
+                    flows,
+                    bound=float(doc["load"]),
+                    lower_bound=stats.get("lower_bound"),
+                    group=group,
+                    lexicographic=int(stats.get("stage2_iterations", 0)) > 0,
+                ).checks
+            )
+    elif "routing" in doc:
+        algorithm = routing_from_doc(doc["routing"])
+        checks = [check_distribution(algorithm)]
+        if remeasure:
+            measured = worst_case_load(algorithm).load
+            checks.append(_load_recheck(float(doc["load"]), measured, tol))
+    else:
+        why = "entry stores neither flows nor routing"
+        return [_check("design_payload", False, why)]
+    if not remeasure:
+        why = "design sample cached as digest only"
+        checks.append(_skipped_load_recheck(tol, why))
+    return checks
+
+
+def recheck_evaluation(
+    doc: dict, tol: float, subject: str, required: tuple = ()
+) -> list[CheckResult]:
+    """Checks of a cached worst-case *evaluation* entry.
+
+    The stored load must be finite, and 0 for an entry marked
+    ``disconnected``; every field in ``required`` must be non-empty.  No
+    design is stored to re-measure, so ``load_recheck`` is skipped.
+    """
+    load = doc.get("load")
+    finite = isinstance(load, (int, float)) and math.isfinite(load)
+    checks = [_check("load_finite", finite, f"stored load {load!r}")]
+    if doc.get("disconnected"):
+        zero = finite and load == 0.0
+        checks.append(_check("disconnected_load", zero, f"stored load {load!r}"))
+    checks += [_check(f, bool(doc.get(f)), f"stores {f!r}") for f in required]
+    why = "evaluation entry, no design stored to re-measure"
+    return checks + [_skipped_load_recheck(tol, why)]

@@ -1,6 +1,9 @@
 """Tests for the parallel experiment engine and the design cache."""
 
 import json
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -13,9 +16,14 @@ from repro.cache import (
     sample_digest,
 )
 from repro.core.worst_case import design_worst_case
+from repro.experiments import engine as engine_mod
 from repro.experiments.engine import (
     DesignTask,
     Engine,
+    FaultSpec,
+    RotorSpec,
+    TaskError,
+    TaskKind,
     TaskMetrics,
     resolve_jobs,
     solve_task,
@@ -250,3 +258,183 @@ class TestSolveTaskDoc:
         assert json.loads(blob)["payload"]["kind"] == "wc_point"
         assert doc["model_stats"]["variables"] > 0
         assert doc["solve_time"] > 0
+
+
+class TestCacheKeyPins:
+    """The cache payload of every kind, pinned: a change here orphans
+    every existing cache entry of that kind."""
+
+    SAMPLE = (np.full((16, 16), 1 / 16), np.eye(16)[::-1].copy())
+
+    @pytest.mark.parametrize(
+        "task, payload",
+        [
+            (
+                DesignTask(
+                    kind="wc_point", k=4, ratio=1.5, sense="==", method="colgen"
+                ),
+                {"kind": "wc_point", "k": 4, "n": 2, "ratio": 1.5,
+                 "sense": "==", "method": "colgen"},
+            ),
+            (
+                DesignTask(kind="wc_point", k=10, ratio=1.0),  # auto -> colgen
+                {"kind": "wc_point", "k": 10, "n": 2, "ratio": 1.0,
+                 "sense": "<=", "method": "colgen"},
+            ),
+            (
+                DesignTask(kind="wc_opt", k=3, n=3, bandwidths=(1.0, 1.0, 0.5)),
+                {"kind": "wc_opt", "k": 3, "n": 3, "ratio": None,
+                 "sense": "<=", "bandwidths": [1.0, 1.0, 0.5]},
+            ),
+            (
+                DesignTask(kind="avg_point", k=4, ratio=1.25, sample=SAMPLE),
+                {"kind": "avg_point", "k": 4, "n": 2, "ratio": 1.25,
+                 "sense": "<=", "sample": "54557d4cc17b4d78"},
+            ),
+            (
+                DesignTask(kind="twoturn", k=4),
+                {"kind": "twoturn", "k": 4, "n": 2, "ratio": None,
+                 "sense": "<="},
+            ),
+            (
+                DesignTask(kind="twoturn_avg", k=4, sample=SAMPLE),
+                {"kind": "twoturn_avg", "k": 4, "n": 2, "ratio": None,
+                 "sense": "<=", "sample": "54557d4cc17b4d78"},
+            ),
+            (
+                DesignTask(
+                    kind="fault_wc",
+                    k=4,
+                    spec=FaultSpec("VAL", (7, 3), reroute="renormalize"),
+                ),
+                {"kind": "fault_wc", "k": 4, "n": 2, "ratio": None,
+                 "sense": "<=", "algorithm": "VAL",
+                 "faults": "e433c737fff5e03a", "reroute": "renormalize"},
+            ),
+            (
+                DesignTask(
+                    kind="rotor_wc", k=3, spec=RotorSpec("ORN", 3, phase_length=2)
+                ),
+                {"kind": "rotor_wc", "k": 3, "n": 2, "ratio": None,
+                 "sense": "<=", "scheme": "ORN", "schedule": "5da36d4af7e048b7"},
+            ),
+        ],
+        ids=lambda v: v.kind if isinstance(v, DesignTask) else "",
+    )
+    def test_payload_pinned(self, task, payload):
+        assert task.cache_payload() == payload
+
+    def test_spec_must_match_kind(self):
+        with pytest.raises(ValueError, match="FaultSpec"):
+            DesignTask(kind="fault_wc", k=3)
+        with pytest.raises(ValueError, match="FaultSpec"):
+            DesignTask(kind="fault_wc", k=3, spec=RotorSpec("ORN", 2))
+        with pytest.raises(ValueError, match="NoneType"):
+            DesignTask(kind="twoturn", k=3, spec=FaultSpec("VAL"))
+
+
+# ----------------------------------------------------------------------
+# Failures: every other task still runs and lands in the cache
+# ----------------------------------------------------------------------
+def _toy_solve(task):
+    """A kind that "designs" instantly; a negative ratio fails."""
+    if task.ratio < 0:
+        raise ArithmeticError(f"no design at ratio {task.ratio}")
+    return task.ratio, 1.0, {}, {}
+
+
+def _crash_after_others(task):
+    """A negative ratio kills its worker once every other task's doc is
+    in the cache (so "completed first" is deterministic)."""
+    if task.ratio < 0:
+        root = os.environ["TOY_CACHE_DIR"]
+        want = int(os.environ["TOY_WAIT_FOR"])
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            if sum(name.endswith(".json") for name in os.listdir(root)) >= want:
+                break
+            time.sleep(0.02)
+        os._exit(3)
+    return task.ratio, 1.0, {}, {}
+
+
+def _no_checks(doc, tol, subject):
+    return []
+
+
+@pytest.fixture()
+def toy_kinds(monkeypatch):
+    # Pool workers are forked after this patch, so they see the kinds too.
+    for name, solve in (("toy", _toy_solve), ("toy_crash", _crash_after_others)):
+        monkeypatch.setitem(
+            engine_mod.KINDS, name, TaskKind(solve, _no_checks, needs_ratio=True)
+        )
+
+
+def _toy_tasks(kind="toy"):
+    return [
+        DesignTask(kind=kind, k=3, ratio=r, label=f"toy@{r}")
+        for r in (1.0, -1.0, 2.0, 3.0)
+    ]
+
+
+class TestTaskFailures:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failure_keeps_every_other_result(self, tmp_path, toy_kinds, jobs):
+        cache = DesignCache(tmp_path)
+        tasks = _toy_tasks()
+        engine = Engine(jobs=jobs, cache=cache)
+        with pytest.raises(TaskError, match="toy@-1.0") as info:
+            engine.run(tasks)
+        assert isinstance(info.value.__cause__, ArithmeticError)
+        assert '"ratio": -1.0' in str(info.value)  # the task's payload
+        assert engine.solves == len(tasks) - 1
+        for task in tasks:
+            cached = cache_key(task.cache_payload()) in cache
+            assert cached == (task.ratio >= 0)
+
+        rerun = Engine(jobs=jobs, cache=cache)
+        with pytest.raises(TaskError):
+            rerun.run(tasks)
+        assert rerun.hits == len(tasks) - 1 and rerun.solves == 0
+
+    def test_dead_worker_keeps_finished_results(
+        self, tmp_path, toy_kinds, monkeypatch
+    ):
+        cache = DesignCache(tmp_path)
+        tasks = _toy_tasks("toy_crash")
+        tasks.insert(0, tasks.pop(1))  # the crash goes first, to one worker
+        monkeypatch.setenv("TOY_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("TOY_WAIT_FOR", str(len(tasks) - 1))
+        with pytest.raises(TaskError, match="toy@-1.0") as info:
+            Engine(jobs=2, cache=cache).run(tasks)
+        assert isinstance(info.value.__cause__, BrokenProcessPool)
+        for task in tasks[1:]:
+            assert cache_key(task.cache_payload()) in cache
+
+    def test_truncated_entry_is_resolved_and_overwritten(self, tmp_path, toy_kinds):
+        cache = DesignCache(tmp_path)
+        task = _toy_tasks()[0]
+        Engine(jobs=1, cache=cache).run_one(task)
+        path = cache._path(cache_key(task.cache_payload()))
+        blob = path.read_text()
+        path.write_text(blob[: len(blob) // 2])
+
+        engine = Engine(jobs=1, cache=cache)
+        result = engine.run_one(task)
+        assert engine.solves == 1 and not result.cache_hit
+        assert json.loads(path.read_text())["load"] == task.ratio
+        assert Engine(jobs=1, cache=cache).run_one(task).cache_hit
+
+    def test_cli_run_reports_task_error(self, monkeypatch, capsys):
+        from repro import cli
+
+        task = DesignTask(kind="twoturn", k=3, label="broken-2turn")
+
+        def fail(*args, **kwargs):
+            raise TaskError(task, ArithmeticError("no design"))
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        assert cli.main(["run", "fig1", "--no-cache"]) == 1
+        err = capsys.readouterr().err
+        assert "broken-2turn" in err and "ArithmeticError: no design" in err

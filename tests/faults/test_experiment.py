@@ -8,6 +8,7 @@ from repro.experiments.engine import (
     FAULT_ALGORITHMS,
     DesignTask,
     Engine,
+    FaultSpec,
 )
 
 
@@ -19,45 +20,46 @@ def engine(tmp_path):
 class TestDesignTaskValidation:
     def test_requires_known_algorithm(self):
         with pytest.raises(ValueError, match="fault_wc task needs algorithm"):
-            DesignTask(kind="fault_wc", k=3, algorithm="ROMM")
+            DesignTask(kind="fault_wc", k=3, spec=FaultSpec("ROMM"))
 
     def test_requires_known_reroute(self):
         with pytest.raises(ValueError, match="unknown reroute mode"):
             DesignTask(
-                kind="fault_wc", k=3, algorithm="DOR", reroute="ostrich"
+                kind="fault_wc", k=3, spec=FaultSpec("DOR", reroute="ostrich")
             )
 
     def test_faults_normalized(self):
         task = DesignTask(
-            kind="fault_wc", k=3, algorithm="VAL", faults=(5, 2, 5)
+            kind="fault_wc", k=3, spec=FaultSpec("VAL", (5, 2, 5))
         )
-        assert task.faults == (2, 5)
+        assert task.spec.channels == (2, 5)
 
 
 class TestCacheKey:
     def test_key_varies_with_fault_set(self):
-        base = dict(kind="fault_wc", k=3, algorithm="VAL")
         keys = {
-            cache_key(DesignTask(faults=f, **base).cache_payload())
+            cache_key(
+                DesignTask(
+                    kind="fault_wc", k=3, spec=FaultSpec("VAL", f)
+                ).cache_payload()
+            )
             for f in [(), (2,), (5,), (2, 5)]
         }
         assert len(keys) == 4
 
     def test_key_varies_with_algorithm_and_reroute(self):
-        a = DesignTask(kind="fault_wc", k=3, algorithm="VAL", faults=(2,))
-        b = DesignTask(kind="fault_wc", k=3, algorithm="IVAL", faults=(2,))
+        a = DesignTask(kind="fault_wc", k=3, spec=FaultSpec("VAL", (2,)))
+        b = DesignTask(kind="fault_wc", k=3, spec=FaultSpec("IVAL", (2,)))
         c = DesignTask(
             kind="fault_wc",
             k=3,
-            algorithm="VAL",
-            faults=(2,),
-            reroute="renormalize",
+            spec=FaultSpec("VAL", (2,), reroute="renormalize"),
         )
         keys = {cache_key(t.cache_payload()) for t in (a, b, c)}
         assert len(keys) == 3
 
     def test_degraded_never_collides_with_pristine(self):
-        faulted = DesignTask(kind="fault_wc", k=3, algorithm="2TURN")
+        faulted = DesignTask(kind="fault_wc", k=3, spec=FaultSpec("2TURN"))
         pristine = DesignTask(kind="twoturn", k=3)
         assert cache_key(faulted.cache_payload()) != cache_key(
             pristine.cache_payload()
@@ -70,7 +72,7 @@ class TestEngineFaultWC:
         # and pinned by tests/faults/test_reroute.py.
         tasks = [
             DesignTask(
-                kind="fault_wc", k=3, algorithm=alg, faults=(2,)
+                kind="fault_wc", k=3, spec=FaultSpec(alg, (2,))
             )
             for alg in ("DOR", "VAL", "IVAL")
         ]
@@ -93,9 +95,7 @@ class TestEngineFaultWC:
             DesignTask(
                 kind="fault_wc",
                 k=3,
-                algorithm="DOR",
-                faults=(2,),
-                reroute="renormalize",
+                spec=FaultSpec("DOR", (2,), reroute="renormalize"),
             )
         )
         assert result.doc["disconnected"] is True
@@ -111,7 +111,7 @@ class TestEngineFaultWC:
         t3 = Torus(3, 2)
         expected = general_worst_case_load(t3, VAL(t3).full_flows()).load
         result = engine.run_one(
-            DesignTask(kind="fault_wc", k=3, algorithm="VAL")
+            DesignTask(kind="fault_wc", k=3, spec=FaultSpec("VAL"))
         )
         assert result.doc["disconnected"] is False
         assert result.doc["num_faults"] == 0

@@ -11,11 +11,8 @@ bit-identical: same paths, same order, same float weights.
 import numpy as np
 import pytest
 
-from repro.experiments.engine import (
-    DesignTask,
-    _mean_path_length,
-    _solve_fault_wc,
-)
+from repro.experiments.engine import DesignTask, FaultSpec
+from repro.experiments.faults import mean_path_length, solve_fault_wc
 from repro.faults import (
     DisconnectedCommodityError,
     FaultSet,
@@ -27,7 +24,6 @@ from repro.routing import IVAL, VAL, DimensionOrderRouting, design_2turn
 from repro.routing import paths as pathmod
 from repro.sim.vectorized import VectorizedSimulator
 from repro.topology import Torus
-from repro.topology.symmetry import TranslationGroup
 
 
 # ----------------------------------------------------------------------
@@ -297,8 +293,8 @@ def test_fault_wc_path_length_matches_per_pair_mean(bases, alg):
     torus, algs = bases[4]
     base, base_dists = algs[alg]
     faults = random_faults(torus, np.random.default_rng(5), 2).channels
-    task = DesignTask(kind="fault_wc", k=4, n=2, algorithm=alg, faults=faults)
-    _, apl, _, payload = _solve_fault_wc(task, torus, TranslationGroup(torus))
+    task = DesignTask(kind="fault_wc", k=4, n=2, spec=FaultSpec(alg, faults))
+    _, apl, _, payload = solve_fault_wc(task)
     assert not payload["disconnected"]
     net = degrade(torus, FaultSet(channels=faults))
     expected = _oracle_mean_path_length(net, _oracle(net, base_dists, "detour"))
@@ -306,5 +302,5 @@ def test_fault_wc_path_length_matches_per_pair_mean(bases, alg):
     # A dead node's commodities are left out of the mean.
     net = degrade(torus, FaultSet(nodes=(5,)))
     expected = _oracle_mean_path_length(net, _oracle(net, base_dists, "detour"))
-    apl = _mean_path_length(degrade_routing(base, net), net)
+    apl = mean_path_length(degrade_routing(base, net), net)
     assert apl == pytest.approx(expected, rel=0, abs=1e-12)
