@@ -19,6 +19,7 @@ from repro.constants import LEXICOGRAPHIC_SLACK, SOLVER_DUST
 from repro.core.flows import CanonicalFlowProblem
 from repro.topology.symmetry import TranslationGroup
 from repro.topology.torus import Torus
+from repro.traffic.doubly_stochastic import DesignSample, close_under_point_group
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,16 +44,21 @@ class AverageCaseDesign:
 def _build(
     torus: Torus,
     group: TranslationGroup | None,
-    sample: Sequence[np.ndarray],
+    sample: DesignSample,
     locality_hops: float | None,
     locality_sense: str,
 ):
+    """The model (15) over ``sample``; returns the problem and its
+    one-variable ``mean`` block (the objective), declared under the
+    point group when the sample is closed."""
     prob = CanonicalFlowProblem(torus, group, name="average-case-design")
     bounds = prob.model.add_variables("m", len(sample))
-    prob.average_case_constraints(sample, bounds)
+    mean = prob.model.add_variables("mean", 1)
+    prob.average_case_constraints(sample, bounds, mean)
     if locality_hops is not None:
         prob.add_locality_constraint(locality_hops, locality_sense)
-    return prob, bounds
+    prob.declare_point_symmetry(sample=(bounds, sample))
+    return prob, mean
 
 
 def design_average_case(
@@ -66,6 +72,11 @@ def design_average_case(
 ) -> AverageCaseDesign:
     """Design a routing algorithm minimizing mean max channel load.
 
+    On a torus the sample is closed under the point group first
+    (:func:`~repro.traffic.close_under_point_group`), so the LP solves
+    on its orbit quotient and the design is point-symmetric; its
+    ``average_load`` is then also its mean load over ``sample`` itself.
+
     Parameters
     ----------
     torus:
@@ -78,30 +89,24 @@ def design_average_case(
     minimize_locality:
         Lexicographic stage 2: minimize ``H_avg`` subject to the optimal
         average load — the 2TURNA construction applies this over its
-        restricted path set (Section 5.4).
+        restricted path set (Section 5.4).  Re-solves the stage-1 model
+        in place with the mean capped.
     """
     if len(sample) == 0:
         raise ValueError("average-case design needs a nonempty sample")
     if group is None:
         group = TranslationGroup(torus)
-    prob, bounds = _build(torus, group, sample, locality_hops, locality_sense)
-    prob.model.set_objective(
-        bounds.indices(), np.full(len(sample), 1.0 / len(sample))
-    )
+    closed = close_under_point_group(sample, torus)
+    prob, mean = _build(torus, group, closed, locality_hops, locality_sense)
+    prob.model.set_objective(mean.indices(), [1.0])
     sol = prob.model.solve(method=method)
     avg_load = float(sol.objective)
 
     if minimize_locality:
-        prob, bounds = _build(
-            torus, group, sample, locality_hops, locality_sense
+        prob.model.set_bounds(
+            mean, ub=avg_load * (1 + LEXICOGRAPHIC_SLACK) + SOLVER_DUST
         )
-        prob.model.add_le(
-            bounds.indices(),
-            np.full(len(sample), 1.0 / len(sample)),
-            avg_load * (1 + LEXICOGRAPHIC_SLACK) + SOLVER_DUST,
-        )
-        cols, vals = prob.locality_terms()
-        prob.model.set_objective(cols, vals)
+        prob.model.set_objective(*prob.locality_terms())
         sol = prob.model.solve(method=method)
 
     flows = prob.flows_from(sol)

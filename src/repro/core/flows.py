@@ -21,8 +21,12 @@ objective, bounds and constraints it permutes among themselves —
 capacity and the worst-case LP (8), with or without a locality pin —
 declares it (:meth:`CanonicalFlowProblem.declare_point_symmetry`), and
 the LP layer solves the orbit quotient and lifts the optimum and its
-certificate back (:mod:`repro.lp.quotient`).  Sampled average-case
-models do not declare: their sample breaks the symmetry.
+certificate back (:mod:`repro.lp.quotient`).  The sampled
+average-case model (15) and 2TURNA declare it too, because their design
+sample is first closed under the point group
+(:func:`~repro.traffic.close_under_point_group`): the load bound
+``m_j`` of matrix ``Λ_j`` maps to that of ``Λ_j∘g``.  An unclosed
+sample (and any topology other than a torus) keeps the full model.
 """
 
 from __future__ import annotations
@@ -34,7 +38,9 @@ from repro.topology.symmetry import TranslationGroup, point_group_generators
 from repro.topology.torus import Torus
 
 
-def declare_point_group(model, torus, potentials, images) -> bool:
+def declare_point_group(
+    model, torus, potentials, *, flow=None, images=None, sample=None
+) -> bool:
     """Declare the torus point group on a design model, so it solves on
     its orbit quotient; returns whether it was declared.
 
@@ -42,29 +48,88 @@ def declare_point_group(model, torus, potentials, images) -> bool:
     (bandwidth-preserving, so heterogeneous tori are covered).  The
     matching potentials ``u[rep][s]``, ``v[rep][d]`` of LP (8) (the
     ``(rep, u, v)`` blocks in ``potentials``) move to
-    ``u[g(rep)][g(s)]``, ``v[g(rep)][g(d)]``; ``images(g)`` gives
-    ``(cols, image_cols)`` for the formulation's own routing variables,
-    or ``None`` when map ``g`` does not carry them onto themselves; every
-    other column is fixed.  The LP layer checks that the model really is
-    invariant.  Other Cayley topologies (the hypercube) solve unreduced.
-    Call after the last constraint that involves new variables.
+    ``u[g(rep)][g(s)]``, ``v[g(rep)][g(d)]``; a canonical ``(N, C)``
+    ``flow`` block moves ``x[t, c]`` to ``x[g(t), g(c)]``; ``images(g)``
+    gives ``(cols, image_cols)`` for a formulation's other routing
+    variables, or ``None`` when map ``g`` does not carry them onto
+    themselves; ``sample = (bounds, design_sample)`` moves the per-matrix
+    load bounds ``m_j`` to ``m_{g(j)}`` and is declared only when the
+    :class:`~repro.traffic.DesignSample` is closed under the group.
+    Every other column is fixed.  The LP layer checks that the model
+    really is invariant.  Other Cayley topologies (the hypercube) solve
+    unreduced.  Call after the last constraint that involves new
+    variables.
     """
     if not isinstance(torus, Torus):
+        return False
+    if sample is not None and sample[1].perms is None:
         return False
     maps = point_group_generators(torus)
     out = np.tile(np.arange(model.num_variables), (len(maps), 1))
     by_rep = {rep: (u, v) for rep, u, v in potentials}
     for i, g in enumerate(maps):
-        own = images(g)
-        if own is None:
-            return False
-        out[i, own[0]] = own[1]
+        if images is not None:
+            own = images(g)
+            if own is None:
+                return False
+            out[i, own[0]] = own[1]
+        if flow is not None:
+            cols = flow.indices()
+            out[i, cols.ravel()] = cols[g.node_map][:, g.channel_map].ravel()
+        if sample is not None:
+            bounds, design_sample = sample
+            out[i, bounds.indices()] = bounds.offset + design_sample.perms[i]
         for rep, u, v in potentials:
             u_img, v_img = by_rep[int(g.channel_map[rep])]
             out[i, u.indices()] = u_img.offset + g.node_map
             out[i, v.indices()] = v_img.offset + g.node_map
     model.declare_symmetry(out)
     return True
+
+
+def average_case_rows(model, group, flow, sample, bounds, mean) -> None:
+    """Install the sampled average-case load constraints (eq. 9) on the
+    canonical ``(N, C)`` ``flow`` block.
+
+    For sample matrix :math:`\\Lambda_j` and every channel ``c``:
+
+    .. math::
+        \\sum_{s,d} \\lambda_{s,d}\\, x_{d-s, c-s} \\le b_c\\, m_j
+
+    with one ``bounds`` variable ``m_j`` per matrix of the
+    :class:`~repro.traffic.DesignSample`; a one-variable ``mean`` block
+    is tied to their weighted mean by an equality row.  Rows stay sparse
+    because the samplers produce sparse matrices (Birkhoff combinations
+    of a few permutations).
+    """
+    torus = group.torus
+    c = torus.num_channels
+    if bounds.size != len(sample):
+        raise ValueError("bound block must have one variable per sample")
+    for j, lam in enumerate(sample.matrices):
+        s_nz, d_nz = np.nonzero(lam)
+        vals_nz = lam[s_nz, d_nz]
+        t_nz = group.node_diff[d_nz, s_nz]
+        # For every canonical channel c' and every nonzero (s, d):
+        # network channel row = chan_shift[c', s], variable x[t, c'].
+        cprime = np.arange(c)
+        rows = group.chan_shift[:, s_nz]  # (c, nnz)
+        cols = flow.index(
+            np.broadcast_to(t_nz, (c, t_nz.shape[0])),
+            np.broadcast_to(cprime[:, None], (c, t_nz.shape[0])),
+        )
+        vals = np.broadcast_to(vals_nz, (c, vals_nz.shape[0]))
+        model.add_le_batch(
+            np.concatenate([rows.ravel(), np.arange(c)]),
+            np.concatenate([cols.ravel(), np.full(c, bounds.offset + j)]),
+            np.concatenate([vals.ravel().astype(float), -torus.bandwidth]),
+            np.zeros(c),
+        )
+    model.add_eq(
+        np.concatenate([mean.indices(), bounds.indices()]),
+        np.concatenate([[1.0], -sample.weights]),
+        0.0,
+    )
 
 
 class CanonicalFlowProblem:
@@ -221,56 +286,20 @@ class CanonicalFlowProblem:
             )
 
     def average_case_constraints(
-        self, sample, bound_block: VariableBlock
+        self, sample, bound_block: VariableBlock, mean: VariableBlock
     ) -> None:
-        """Install the sampled average-case load constraints (eq. 9).
+        """Install the sampled average-case load constraints (eq. 9) of a
+        :class:`~repro.traffic.DesignSample` (:func:`average_case_rows`)."""
+        average_case_rows(self.model, self.group, self.x, sample, bound_block, mean)
 
-        For sample matrix :math:`\\Lambda_j` and every channel ``c``:
-
-        .. math::
-            \\sum_{s,d} \\lambda_{s,d}\\, x_{d-s, c-s} \\le b_c\\, m_j
-
-        Rows stay sparse because the samplers produce sparse matrices
-        (Birkhoff combinations of a few permutations).
-        """
-        torus, group, model = self.torus, self.group, self.model
-        n, c = torus.num_nodes, torus.num_channels
-        if bound_block.size != len(sample):
-            raise ValueError("bound block must have one variable per sample")
-        for j, lam in enumerate(sample):
-            s_nz, d_nz = np.nonzero(lam)
-            vals_nz = lam[s_nz, d_nz]
-            t_nz = group.node_diff[d_nz, s_nz]
-            # For every canonical channel c' and every nonzero (s, d):
-            # network channel row = chan_shift[c', s], variable x[t, c'].
-            cprime = np.arange(c)
-            rows = group.chan_shift[:, s_nz]  # (c, nnz)
-            cols = self.x.index(
-                np.broadcast_to(t_nz, (c, t_nz.shape[0])),
-                np.broadcast_to(cprime[:, None], (c, t_nz.shape[0])),
-            )
-            vals = np.broadcast_to(vals_nz, (c, vals_nz.shape[0]))
-            # bound variable entries: row per channel
-            m_rows = np.arange(c)
-            m_cols = np.full(c, bound_block.offset + j)
-            m_vals = -torus.bandwidth
-            model.add_le_batch(
-                np.concatenate([rows.ravel(), m_rows]),
-                np.concatenate([cols.ravel(), m_cols]),
-                np.concatenate([vals.ravel().astype(float), m_vals]),
-                np.zeros(c),
-            )
-
-    def declare_point_symmetry(self) -> None:
+    def declare_point_symmetry(self, sample=None) -> bool:
         """Declare the torus point group on the model
         (:func:`declare_point_group`): flow ``x[t, c]`` maps to
-        ``x[g(t), g(c)]``."""
-        flow = self.x.indices()
-        declare_point_group(
-            self.model,
-            self.torus,
-            self.potentials,
-            lambda g: (flow.ravel(), flow[g.node_map][:, g.channel_map].ravel()),
+        ``x[g(t), g(c)]``, and for ``sample = (bounds, design sample)``
+        of :meth:`average_case_constraints` ``m_j`` to ``m_{g(j)}``;
+        returns whether it was declared."""
+        return declare_point_group(
+            self.model, self.torus, self.potentials, flow=self.x, sample=sample
         )
 
     # ------------------------------------------------------------------

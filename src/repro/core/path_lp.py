@@ -5,8 +5,8 @@ closed-form description of its allowed *paths*; the optimal weighting of
 those paths is then just the basic routing-design LP (1) with
 ``R(q) = 0`` outside the set.  This module provides that machinery for
 any canonical-source path family: per-destination probability variables,
-the worst-case matching-dual constraints, the sampled average-case
-constraints, and the locality form.
+the worst-case matching-dual constraints, canonical flows for the
+sampled average-case constraints, and the locality form.
 """
 
 from __future__ import annotations
@@ -80,23 +80,14 @@ class PathSetLP:
             self._cross_pid[order[s:e]] for s, e in zip(starts, ends)
         ]
 
-        by_dest: dict[int, tuple[list[int], list[int]]] = {}
-        for pid, c in zip(pid_list, chan_list):
-            t = int(self.dest[pid])
-            by_dest.setdefault(t, ([], []))
-            by_dest[t][0].append(pid)
-            by_dest[t][1].append(c)
-        self._by_dest = {
-            t: (np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-            for t, (a, b) in by_dest.items()
-        }
-
         self.model = LinearModel(name)
         self.weights: VariableBlock = self.model.add_variables(
             "R", len(paths)
         )
         #: ``(rep, u, v)`` potential blocks of :meth:`add_worst_case`
         self.potentials: list[tuple[int, VariableBlock, VariableBlock]] = []
+        #: canonical flows of :meth:`add_flows`
+        self.flow: VariableBlock | None = None
         # sum_{p in P_{0,t}} R(p) = 1 for every destination
         dest_row = {
             t: i for i, t in enumerate(sorted(set(self.dest.tolist())))
@@ -181,39 +172,36 @@ class PathSetLP:
                 0.0,
             )
 
-    def add_average_case(self, sample, bound_block: VariableBlock) -> None:
-        """Sampled average-case load constraints (eq. 9) over the path set."""
-        torus, group, model = self.torus, self.group, self.model
-        c = torus.num_channels
-        if bound_block.size != len(sample):
-            raise ValueError("bound block must have one variable per sample")
-        for j, lam in enumerate(sample):
-            s_nz, d_nz = np.nonzero(lam)
-            vals_nz = lam[s_nz, d_nz]
-            t_nz = group.node_diff[d_nz, s_nz]
-            rows_parts, cols_parts, vals_parts = [], [], []
-            for s, t, val in zip(s_nz, t_nz, vals_nz):
-                if t == 0:
-                    continue  # self-traffic loads nothing
-                pids, chans = self._by_dest[int(t)]
-                rows_parts.append(group.chan_shift[chans, s])
-                cols_parts.append(self.weights.offset + pids)
-                vals_parts.append(np.full(pids.size, val))
-            rows_parts.append(np.arange(c))
-            cols_parts.append(np.full(c, bound_block.offset + j))
-            vals_parts.append(-torus.bandwidth)
-            model.add_le_batch(
-                np.concatenate(rows_parts),
-                np.concatenate(cols_parts),
-                np.concatenate(vals_parts),
-                np.zeros(c),
-            )
+    def add_flows(self) -> VariableBlock:
+        """Canonical flows ``f[t, c]``: the weight of destination-``t``
+        paths crossing channel ``c``, tied to the path weights by one
+        equality block.  Rows written on ``f`` (the sampled average-case
+        rows of :func:`~repro.core.flows.average_case_rows`) take one
+        nonzero per ``(t, c)`` instead of one per path crossing."""
+        torus, model = self.torus, self.model
+        n, c = torus.num_nodes, torus.num_channels
+        f = self.flow = model.add_variables("f", (n, c))
+        model.fix_variables(f.indices()[0], 0.0)
+        # f[t, c] - sum_{p in P_t, c in p} R(p) = 0 for t = 1..N-1
+        flow_rows = np.arange((n - 1) * c)
+        model.add_eq_batch(
+            np.concatenate(
+                [flow_rows, (self.dest[self._cross_pid] - 1) * c + self._cross_chan]
+            ),
+            np.concatenate(
+                [f.offset + c + flow_rows, self.weights.offset + self._cross_pid]
+            ),
+            np.concatenate([np.ones(flow_rows.size), -np.ones(self._cross_pid.size)]),
+            np.zeros(flow_rows.size),
+        )
+        return f
 
-    def declare_point_symmetry(self) -> bool:
+    def declare_point_symmetry(self, sample=None) -> bool:
         """Declare the torus point group on the model
         (:func:`~repro.core.flows.declare_point_group`) if the path set is
-        closed under it, path ``p`` mapping to ``g(p)``; returns whether
-        it was declared."""
+        closed under it, path ``p`` mapping to ``g(p)``; flows and the
+        ``sample = (bounds, design sample)`` of sampled rows map as in
+        the canonical-flow models.  Returns whether it was declared."""
         pid = {p: i for i, p in enumerate(self.paths)}
 
         def images(g):
@@ -223,7 +211,14 @@ class PathSetLP:
                 return None
             return self.weights.indices(), self.weights.offset + np.asarray(image)
 
-        return declare_point_group(self.model, self.torus, self.potentials, images)
+        return declare_point_group(
+            self.model,
+            self.torus,
+            self.potentials,
+            flow=self.flow,
+            images=images,
+            sample=sample,
+        )
 
     # ------------------------------------------------------------------
     def table_from(

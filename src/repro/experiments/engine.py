@@ -642,9 +642,11 @@ class Engine:
                 obs.metric_observe(
                     "engine.queue_wait_seconds", max(0.0, wait), volatile=True
                 )
-            for result in results:
+            for i, result in enumerate(results):
                 if result is not None:
                     self._record_task_event(tracer, result)
+                elif i in failures:
+                    self._record_task_failure(tracer, tasks[i], failures[i])
             obs.metric_count("engine.tasks", len(tasks))
             obs.metric_count("engine.cache_hits", hits)
             obs.metric_count("engine.cache_misses", len(pending))
@@ -723,6 +725,25 @@ class Engine:
                 "engine.task_seconds", m.solve_time, volatile=True
             )
         self.metrics.append(m)
+
+    @staticmethod
+    def _record_task_failure(tracer, task: DesignTask, exc: BaseException) -> None:
+        """Publish a failed task's ``engine.task`` span: its identity and
+        an ``error`` attr (exception type and first line of its message)."""
+        message = str(exc).splitlines()
+        tracer.emit_span(
+            "engine.task",
+            dur=0.0,
+            attrs={
+                "label": task.label or task.kind,
+                "kind": task.kind,
+                "k": int(task.k),
+                "n": int(task.n),
+                "ratio": task.ratio,
+                "cache_hit": False,
+                "error": f"{type(exc).__name__}: {message[0] if message else ''}",
+            },
+        )
 
     @property
     def solves(self) -> int:

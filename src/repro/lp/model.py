@@ -1,12 +1,13 @@
 """Incremental sparse LP model builder.
 
-Constraints accumulate as COO triplets in Python lists of NumPy arrays and
-are concatenated once at solve time — the standard trick for assembling
-large sparse systems without quadratic copying (see the HPC guide's advice
-to vectorize and avoid per-element work).  The routing-design LPs of the
-paper reach hundreds of thousands of rows and millions of nonzeros at
-paper scale (Section 4 puts the practical CPLEX limit at "a few million
-nonzero terms"); HiGHS handles the same sizes comfortably.
+Each batch of constraints is stored as one CSR block as it is added, and
+a section's blocks are joined into one at solve time (and kept joined) —
+the standard trick for assembling large sparse systems without quadratic
+copying, at 12 bytes a nonzero instead of 24 for int64 COO triplets.
+The routing-design LPs of the paper reach hundreds of thousands of rows
+and millions of nonzeros at paper scale (Section 4 puts the practical
+CPLEX limit at "a few million nonzero terms"); HiGHS handles the same
+sizes comfortably.
 
 A model solves through one HiGHS instance that it keeps (SciPy's bundled
 binding): later solves push only what changed, and simplex restarts from
@@ -25,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
+import typing
 from typing import Sequence
 
 import numpy as np
@@ -73,18 +75,37 @@ def _first_solve_options(method: str):
 @dataclasses.dataclass
 class _Held:
     """A model's HiGHS instance and what it holds: sizes at load time, how
-    many ``<=`` batches it has, the objective and bounds it last got (the
+    many ``<=`` rows it has, the objective and bounds it last got (the
     quotient's, under a declared symmetry) and the model's orbits."""
 
     highs: object
     num_vars: int
     eq_rows: int
     first_ub_rows: int
-    ub_batches: int
+    ub_rows: int
     cost: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
     orbits: Orbits | None = None
+
+
+class _Row(typing.NamedTuple):
+    """A one-row batch in CSR form (sorted columns, duplicates summed).
+
+    Column generation appends its rows one at a time; building a SciPy
+    matrix for each would cost more than the rest of the append.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return np.array([0, self.data.size])
 
 
 #: Post-solve observer: called as ``hook(model, solution, assembled)``
@@ -151,13 +172,16 @@ class LinearModel:
         self._blocks: dict[str, VariableBlock] = {}
         self._lb = np.zeros(0, dtype=np.float64)
         self._ub = np.zeros(0, dtype=np.float64)
-        # COO accumulators: (rows, cols, vals) per appended batch.
-        self._eq_batches: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        # One CSR block per appended batch (as wide as the model was when
+        # it was added; a `_Row` for one row), joined into one block per
+        # section at solve time.
+        self._eq_batches: list[sp.csr_matrix | _Row] = []
         self._eq_rhs: list[np.ndarray] = []
         self._num_eq_rows = 0
-        self._ub_batches: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._ub_batches: list[sp.csr_matrix | _Row] = []
         self._ub_rhs: list[np.ndarray] = []
         self._num_ub_rows = 0
+        self._nnz = 0
         self._obj_cols: list[np.ndarray] = []
         self._obj_vals: list[np.ndarray] = []
         self._symmetry: np.ndarray | None = None
@@ -278,19 +302,20 @@ class LinearModel:
         """Bulk-add equality rows from COO triplets.
 
         ``rows`` are batch-local (0-based within this call); ``rhs`` has
-        one entry per batch-local row.
+        one entry per batch-local row.  Duplicate ``(row, col)`` entries
+        are summed.
         """
-        rows, cols, vals, rhs = self._check_batch(rows, cols, vals, rhs)
-        self._eq_batches.append((rows + self._num_eq_rows, cols, vals))
-        self._eq_rhs.append(rhs)
-        self._num_eq_rows += rhs.shape[0]
+        self._eq_batches.append(self._check_batch(rows, cols, vals, rhs))
+        self._eq_rhs.append(np.atleast_1d(np.asarray(rhs, dtype=np.float64)))
+        self._num_eq_rows += self._eq_rhs[-1].shape[0]
+        self._nnz += self._eq_batches[-1].nnz
 
     def add_le_batch(self, rows, cols, vals, rhs) -> None:
         """Bulk-add ``<=`` rows from COO triplets (see :meth:`add_eq_batch`)."""
-        rows, cols, vals, rhs = self._check_batch(rows, cols, vals, rhs)
-        self._ub_batches.append((rows + self._num_ub_rows, cols, vals))
-        self._ub_rhs.append(rhs)
-        self._num_ub_rows += rhs.shape[0]
+        self._ub_batches.append(self._check_batch(rows, cols, vals, rhs))
+        self._ub_rhs.append(np.atleast_1d(np.asarray(rhs, dtype=np.float64)))
+        self._num_ub_rows += self._ub_rhs[-1].shape[0]
+        self._nnz += self._ub_batches[-1].nnz
 
     def add_ge_batch(self, rows, cols, vals, rhs) -> None:
         """Bulk-add ``>=`` rows (negated into ``<=`` form)."""
@@ -310,7 +335,13 @@ class LinearModel:
             raise ValueError("batch row index out of range of rhs")
         if cols.size and (cols.min() < 0 or cols.max() >= self._num_vars):
             raise ValueError("column index out of range; add variables first")
-        return rows, cols, vals, rhs
+        if rhs.shape[0] == 1:
+            cols, inv = np.unique(cols, return_inverse=True)
+            return _Row(np.bincount(inv.ravel(), vals.ravel(), cols.size), cols)
+        return sp.csr_matrix(
+            (vals.ravel(), (rows.ravel(), cols.ravel())),
+            shape=(rhs.shape[0], self._num_vars),
+        )
 
     # ------------------------------------------------------------------
     # Objective and solve
@@ -335,19 +366,45 @@ class LinearModel:
             )
         return c
 
-    def _stack(self, batches, rhs_parts, first_batch: int = 0):
-        """CSR matrix and rhs of one section's batches from ``first_batch`` on
-        (``None, None`` when they hold no rows)."""
-        first_row = sum(r.shape[0] for r in rhs_parts[:first_batch])
-        batches, rhs_parts = batches[first_batch:], rhs_parts[first_batch:]
-        nrows = sum(r.shape[0] for r in rhs_parts)
-        if nrows == 0:
+    def _stack(self, batches, rhs_parts, first_row: int = 0):
+        """One section's rows from ``first_row`` on as one CSR block as
+        wide as the model, and their rhs (``None, None`` when there are
+        none).
+
+        A whole section's joined block replaces its batches, so the rows
+        are held once and a later call (a warm re-solve's certificate)
+        returns the same arrays without copying."""
+        n = self._num_vars
+        parts, rhs, start = [], [], 0
+        for block, part in zip(batches, rhs_parts):
+            lo = max(first_row - start, 0)
+            start += part.shape[0]
+            if lo < part.shape[0]:
+                parts.append(block[lo:] if lo else block)
+                rhs.append(part[lo:])
+        if not parts:
             return None, None
-        rows = np.concatenate([b[0] for b in batches]) - first_row
-        cols = np.concatenate([b[1] for b in batches])
-        vals = np.concatenate([b[2] for b in batches])
-        mat = sp.csr_matrix((vals, (rows, cols)), shape=(nrows, self._num_vars))
-        return mat, np.concatenate(rhs_parts)
+        if len(parts) == 1 and sp.issparse(parts[0]) and parts[0].shape[1] == n:
+            mat, rhs = parts[0], rhs[0]
+        else:
+            # Stack the CSR arrays (blocks added before later variables
+            # are narrower; their column indices hold as they are).
+            offsets = np.cumsum([0] + [b.nnz for b in parts])
+            indptr = np.concatenate(
+                [[0]] + [b.indptr[1:] + off for b, off in zip(parts, offsets)]
+            )
+            mat = sp.csr_matrix(
+                (
+                    np.concatenate([b.data for b in parts]),
+                    np.concatenate([b.indices for b in parts]),
+                    indptr,
+                ),
+                shape=(indptr.size - 1, n),
+            )
+            rhs = np.concatenate(rhs)
+        if first_row == 0:
+            batches[:], rhs_parts[:] = [mat], [rhs]
+        return mat, rhs
 
     def _assemble(self):
         """The model as ``(c, a_ub, b_ub, a_eq, b_eq, bounds)`` — the
@@ -411,7 +468,7 @@ class LinearModel:
             num_vars=n,
             eq_rows=self._num_eq_rows,
             first_ub_rows=self._num_ub_rows,
-            ub_batches=len(self._ub_batches),
+            ub_rows=self._num_ub_rows,
             cost=cost,
             lb=lb.copy(),
             ub=ub.copy(),
@@ -427,7 +484,7 @@ class LinearModel:
         held = self._held
         highs = held.highs
         a_new, b_new = self._stack(
-            self._ub_batches, self._ub_rhs, first_batch=held.ub_batches
+            self._ub_batches, self._ub_rhs, first_row=held.ub_rows
         )
         if a_new is not None:
             highs.addRows(
@@ -439,7 +496,7 @@ class LinearModel:
                 a_new.indices.astype(np.int32),
                 a_new.data,
             )
-        held.ub_batches = len(self._ub_batches)
+            held.ub_rows = self._num_ub_rows
         c, lb, ub = self._objective(), self._lb, self._ub
         if held.orbits is not None:
             c, lb, ub = held.orbits.columns(c, lb, ub)
@@ -581,13 +638,10 @@ class LinearModel:
 
     def stats(self) -> dict:
         """Model-size summary used in logs and reports."""
-        nnz = sum(b[2].shape[0] for b in self._eq_batches) + sum(
-            b[2].shape[0] for b in self._ub_batches
-        )
         return {
             "name": self.name,
             "variables": self._num_vars,
             "eq_rows": self._num_eq_rows,
             "ub_rows": self._num_ub_rows,
-            "nonzeros": nnz,
+            "nonzeros": self._nnz,
         }

@@ -36,10 +36,14 @@ _RHS_SALT = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, elementwise on uint64 (wrapping)."""
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
+    """splitmix64 finalizer, elementwise on uint64 (wrapping), in place:
+    ``z`` must be a fresh array (one temporary instead of five)."""
+    z ^= z >> np.uint64(30)
+    z *= _M1
+    z ^= z >> np.uint64(27)
+    z *= _M2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _bits(values: np.ndarray) -> np.ndarray:
@@ -49,7 +53,9 @@ def _bits(values: np.ndarray) -> np.ndarray:
 
 def _row_hashes(a, rhs_hash: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Per-row order-free hash of ``(keys[col], value)`` pairs plus rhs."""
-    entry = _mix(keys[a.indices] ^ _mix(_bits(a.data)))
+    entry = _mix(_bits(a.data))
+    entry ^= keys[a.indices]
+    entry = _mix(entry)
     entry[a.data == 0] = 0
     sums = np.concatenate([[np.uint64(0)], np.cumsum(entry, dtype=np.uint64)])
     return sums[a.indptr[1:]] - sums[a.indptr[:-1]] + rhs_hash

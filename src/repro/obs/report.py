@@ -82,6 +82,8 @@ class TraceReport:
     topo3d_points: list[dict] = dataclasses.field(default_factory=list)
     #: rotor.point span attrs (phases/scheme/theta_wc/sat), in order
     rotor_points: list[dict] = dataclasses.field(default_factory=list)
+    #: engine.task span attrs of tasks that raised (label/kind/error)
+    failed_tasks: list[dict] = dataclasses.field(default_factory=list)
 
     # -- sections -------------------------------------------------------
     def span_rows(self, top: int | None = None) -> list[tuple]:
@@ -215,6 +217,17 @@ class TraceReport:
             lines += _table(
                 ["phases", "scheme", "Theta_wc", "sat_lo", "sat_hi"],
                 _rotor_rows(self.rotor_points),
+            )
+
+        if self.failed_tasks:
+            lines.append("")
+            lines.append(f"Failed tasks: {len(self.failed_tasks)}")
+            lines += _table(
+                ["label", "kind", "error"],
+                [
+                    (t.get("label"), t.get("kind"), t["error"])
+                    for t in self.failed_tasks
+                ],
             )
 
         return "\n".join(lines)
@@ -377,6 +390,8 @@ def aggregate(events: Iterable[dict]) -> TraceReport:
                 )
             elif ev.get("name") == "rotor.point":
                 report.rotor_points.append(dict(ev.get("attrs", {})))
+            elif ev.get("name") == "engine.task" and "error" in ev.get("attrs", {}):
+                report.failed_tasks.append(dict(ev["attrs"]))
         elif kind == "count":
             report.counters[ev["name"]] = (
                 report.counters.get(ev["name"], 0) + ev["value"]

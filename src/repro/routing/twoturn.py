@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
 from repro.constants import LEXICOGRAPHIC_SLACK, SOLVER_DUST
+from repro.core.flows import average_case_rows
 from repro.core.path_lp import PathSetLP
+from repro.lp import VariableBlock
 from repro.routing.base import TableRouting
 from repro.routing.paths import Path, build_path
 from repro.topology.symmetry import TranslationGroup
 from repro.topology.torus import Torus
+from repro.traffic.doubly_stochastic import DesignSample, close_under_point_group
 
 
 def two_turn_paths(torus: Torus) -> dict[int, list[Path]]:
@@ -138,6 +139,22 @@ def design_2turn(
     )
 
 
+def two_turn_average_model(
+    torus: Torus, sample: DesignSample, group: TranslationGroup | None = None
+) -> tuple[PathSetLP, VariableBlock]:
+    """2TURNA's model over ``sample``: the 2TURN path set with the
+    sampled average-case rows on its canonical flows, declared under the
+    point group when the sample is closed.  Returns the model and its
+    one-variable ``mean`` block (the stage-1 objective)."""
+    lp = PathSetLP(torus, two_turn_paths(torus), group, name="2TURNA")
+    flow = lp.add_flows()
+    bounds = lp.model.add_variables("m", len(sample))
+    mean = lp.model.add_variables("mean", 1)
+    average_case_rows(lp.model, lp.group, flow, sample, bounds, mean)
+    lp.declare_point_symmetry(sample=(bounds, sample))
+    return lp, mean
+
+
 def design_2turn_average(
     torus: Torus,
     sample,
@@ -145,28 +162,20 @@ def design_2turn_average(
     method: str = "highs-ipm",
 ) -> TwoTurnDesign:
     """Design 2TURNA: lexicographically min sampled average-case load,
-    then min average path length (Section 5.4)."""
-    if group is None:
-        group = TranslationGroup(torus)
-    paths = two_turn_paths(torus)
+    then min average path length (Section 5.4).
 
-    lp = PathSetLP(torus, paths, group, name="2TURNA")
-    m = lp.model.add_variables("m", len(sample))
-    lp.add_average_case(sample, m)
-    lp.model.set_objective(m.indices(), np.full(len(sample), 1 / len(sample)))
+    The sample is closed under the point group first
+    (:func:`~repro.traffic.close_under_point_group`), so both stages
+    solve on the orbit quotient; stage 2 re-solves the stage-1 model in
+    place with the mean load capped."""
+    closed = close_under_point_group(sample, torus)
+    lp, mean = two_turn_average_model(torus, closed, group)
+    lp.model.set_objective(mean.indices(), [1.0])
     sol = lp.model.solve(method=method)
     avg_load = float(sol.objective)
 
-    lp = PathSetLP(torus, paths, group, name="2TURNA-stage2")
-    m = lp.model.add_variables("m", len(sample))
-    lp.add_average_case(sample, m)
-    lp.model.add_le(
-        m.indices(),
-        np.full(len(sample), 1 / len(sample)),
-        avg_load * (1 + LEXICOGRAPHIC_SLACK) + SOLVER_DUST,
-    )
-    cols, vals = lp.locality_terms()
-    lp.model.set_objective(cols, vals)
+    lp.model.set_bounds(mean, ub=avg_load * (1 + LEXICOGRAPHIC_SLACK) + SOLVER_DUST)
+    lp.model.set_objective(*lp.locality_terms())
     sol = lp.model.solve(method=method)
 
     routing = TableRouting(torus, lp.table_from(sol), name="2TURNA")

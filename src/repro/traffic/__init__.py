@@ -27,6 +27,8 @@ from repro.traffic.doubly_stochastic import (
     sinkhorn_sample,
     sample_traffic_set,
     validate_doubly_stochastic,
+    DesignSample,
+    close_under_point_group,
 )
 from repro.traffic.permutations import random_permutation, random_permutations
 
@@ -44,6 +46,8 @@ __all__ = [
     "sinkhorn_sample",
     "sample_traffic_set",
     "validate_doubly_stochastic",
+    "DesignSample",
+    "close_under_point_group",
     "random_permutation",
     "random_permutations",
 ]

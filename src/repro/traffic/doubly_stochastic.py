@@ -15,13 +15,23 @@ provided:
 
 Both samplers hit every face/interior region relevant to the paper's
 qualitative results; EXPERIMENTS.md records which was used where.
+
+A design LP solves on its torus point-group quotient only if its sample
+is closed under that group: :func:`close_under_point_group` adds every
+image ``Λ∘g`` and records the sample permutation each generator induces
+(:class:`DesignSample`).
 """
 
 from __future__ import annotations
 
+import dataclasses
+from typing import Sequence
+
 import numpy as np
 
 from repro.constants import FEASIBILITY_ATOL, SOLVER_DUST
+from repro.topology.symmetry import point_group_generators, stabilizer_maps
+from repro.topology.torus import Torus
 
 
 def validate_doubly_stochastic(
@@ -118,3 +128,77 @@ def sample_traffic_set(
     if method == "sinkhorn":
         return [sinkhorn_sample(rng, num_nodes) for _ in range(count)]
     raise ValueError(f"unknown sampling method {method!r}")
+
+
+@dataclasses.dataclass(frozen=True)
+class DesignSample:
+    """The sample ``X`` of an average-case design LP.
+
+    ``weights[j]`` is matrix ``j``'s share of the mean the LP minimizes
+    (``1/|X|`` each for a sample taken as drawn).  ``perms`` is ``None``
+    unless the sample is closed under the torus point group; then
+    ``perms[i, j]`` is the index of matrix ``j`` carried by generator
+    ``i`` of :func:`~repro.topology.symmetry.point_group_generators`.
+    """
+
+    matrices: list[np.ndarray]
+    weights: np.ndarray
+    perms: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, sample: Sequence[np.ndarray]) -> "DesignSample":
+        """``sample`` as drawn: equal weights, not closed."""
+        if len(sample) == 0:
+            raise ValueError("a design sample needs at least one matrix")
+        return cls(list(sample), np.full(len(sample), 1.0 / len(sample)))
+
+    def __len__(self) -> int:
+        return len(self.matrices)
+
+
+def _image(mat: np.ndarray, node_map: np.ndarray) -> np.ndarray:
+    """``Λ∘g``: traffic from ``g(s)`` to ``g(d)`` is ``Λ[s, d]``."""
+    out = np.empty_like(mat)
+    out[np.ix_(node_map, node_map)] = mat
+    return out
+
+
+def close_under_point_group(sample: Sequence[np.ndarray], torus) -> DesignSample:
+    """Close a design sample under the torus point group, deduplicated.
+
+    Holds ``Λ∘g`` for every ``Λ`` in ``sample`` and every map ``g`` of
+    :func:`~repro.topology.symmetry.stabilizer_maps` (each distinct matrix
+    once, first images first).  Matrix ``j`` weighs the share of
+    ``(Λ, g)`` pairs that land on it, so for a point-symmetric routing
+    (whose :math:`\\gamma_{max}(\\Lambda\\circ g)` equals
+    :math:`\\gamma_{max}(\\Lambda)`) the weighted mean over the closed
+    sample is the plain mean over ``sample``.  A ``torus`` that is not a
+    :class:`~repro.topology.torus.Torus` (the hypercube) gets ``sample``
+    as drawn.
+    """
+    if not isinstance(torus, Torus):
+        return DesignSample.of(sample)
+    if len(sample) == 0:
+        raise ValueError("a design sample needs at least one matrix")
+    maps = stabilizer_maps(torus)
+    index: dict[bytes, int] = {}
+    matrices: list[np.ndarray] = []
+    counts: list[int] = []
+    for lam in sample:
+        lam = np.asarray(lam, dtype=np.float64) + 0.0  # fold -0.0 into 0.0
+        for g in maps:
+            img = _image(lam, g.node_map)
+            j = index.setdefault(img.tobytes(), len(matrices))
+            if j == len(matrices):
+                matrices.append(img)
+                counts.append(0)
+            counts[j] += 1
+    perms = np.asarray(
+        [
+            [index[_image(mat, g.node_map).tobytes()] for mat in matrices]
+            for g in point_group_generators(torus)
+        ],
+        dtype=np.int64,
+    ).reshape(-1, len(matrices))
+    weights = np.asarray(counts, dtype=np.float64) / (len(sample) * len(maps))
+    return DesignSample(matrices, weights, perms)

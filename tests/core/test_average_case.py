@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import design_average_case, design_worst_case, solve_capacity
 from repro.core.recovery import routing_from_flows
 from repro.metrics import average_case_load
 from repro.topology import Torus, TranslationGroup
-from repro.traffic import sample_traffic_set
+from repro.traffic import DesignSample, sample_traffic_set
 
 
 @pytest.fixture(scope="module")
@@ -82,5 +84,28 @@ class TestAverageCaseDesign:
 
         prob = CanonicalFlowProblem(t4, g4)
         bounds = prob.model.add_variables("m", 3)
+        mean = prob.model.add_variables("mean", 1)
         with pytest.raises(ValueError, match="one variable per sample"):
-            prob.average_case_constraints(sample4, bounds)
+            prob.average_case_constraints(DesignSample.of(sample4), bounds, mean)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    k=st.sampled_from([3, 4]),
+    seed=st.integers(0, 2**16),
+    count=st.integers(1, 3),
+    perms=st.integers(1, 4),
+)
+def test_closed_design_mean_load_on_original_sample(k, seed, count, perms):
+    # The design solves on the sample closed under the point group; its
+    # routing is point-symmetric, so gamma_max(Λ∘g) = gamma_max(Λ) and
+    # its mean load over the sample as drawn is the LP's average_load.
+    torus = Torus(k, 2)
+    sample = sample_traffic_set(
+        np.random.default_rng(seed), torus.num_nodes, count, num_permutations=perms
+    )
+    design = design_average_case(torus, sample)
+    alg = routing_from_flows(torus, design.flows, "avg-closed")
+    assert average_case_load(alg, sample) == pytest.approx(
+        design.average_load, rel=1e-6
+    )

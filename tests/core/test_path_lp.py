@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.flows import average_case_rows
 from repro.core.path_lp import PathSetLP
 from repro.routing import DimensionOrderRouting
 from repro.routing.base import TableRouting
+from repro.routing.paths import path_channels
 from repro.topology import Torus, TranslationGroup
 
 
@@ -100,27 +102,42 @@ class TestWorstCase:
 
 class TestAverageCase:
     def test_matches_canonical_formulation(self, t4, g4):
-        # The path LP restricted to XY/YX paths must agree with direct
-        # load evaluation of its own solution.
+        # The path LP restricted to XY/YX paths, with sample rows on its
+        # canonical flows, must agree with direct load evaluation of its
+        # own solution.
         from repro.metrics import average_case_load
-        from repro.traffic import sample_traffic_set
+        from repro.traffic import DesignSample, sample_traffic_set
 
         sample = sample_traffic_set(np.random.default_rng(0), 16, 6, num_permutations=3)
         lp = PathSetLP(t4, xy_yx_path_set(t4), g4)
+        f = lp.add_flows()
         m = lp.model.add_variables("m", len(sample))
-        lp.add_average_case(sample, m)
-        lp.model.set_objective(m.indices(), np.full(len(sample), 1 / len(sample)))
+        mean = lp.model.add_variables("mean", 1)
+        average_case_rows(lp.model, g4, f, DesignSample.of(sample), m, mean)
+        lp.model.set_objective(mean.indices(), [1.0])
         sol = lp.model.solve()
         alg = TableRouting(t4, lp.table_from(sol), name="avg-min")
         assert average_case_load(alg, sample) == pytest.approx(
             sol.objective, rel=1e-5
         )
+        # f holds each destination's path weight per channel.
+        weights = sol[lp.weights]
+        for t in (1, 5, 15):
+            want = np.zeros(t4.num_channels)
+            for pid in np.flatnonzero(lp.dest == t):
+                want[path_channels(t4, lp.paths[pid])] += weights[pid]
+            assert np.allclose(sol[f][t], want, atol=1e-9)
 
     def test_bound_block_size_guard(self, t4, g4):
+        from repro.traffic import DesignSample
+
         lp = PathSetLP(t4, dor_path_set(t4), g4)
+        f = lp.add_flows()
         m = lp.model.add_variables("m", 2)
+        mean = lp.model.add_variables("mean", 1)
+        sample = DesignSample.of([np.eye(16)] * 3)
         with pytest.raises(ValueError, match="per sample"):
-            lp.add_average_case([np.eye(16)] * 3, m)
+            average_case_rows(lp.model, g4, f, sample, m, mean)
 
 
 class TestLocality:

@@ -7,9 +7,11 @@ Covered: capacity, worst-case with ``<=`` and ``==`` locality pins,
 lexicographic worst-case (stage 2 warm in place), the locality range at
 the worst case and 2TURN, on 2-D tori k=3..6, the 3-D 3-ary torus (48
 point maps, declared by 6 generators) and a heterogeneous-bandwidth 3-D
-torus (16 maps, 4 generators).  Models
-the point group does not fix — hypercube, average-case, colgen masters —
-solve unreduced.
+torus (16 maps, 4 generators); the lexicographic average-case design
+and 2TURNA on a sample closed under the point group, against the full
+model on k=3, 4 and by certificate on the 3-D tori.  Models the point
+group does not fix — hypercube, colgen masters, a model over an
+unclosed sample — solve unreduced.
 """
 
 import numpy as np
@@ -21,9 +23,16 @@ from repro.core.average_case import design_average_case
 from repro.core.capacity import solve_capacity
 from repro.core.flows import CanonicalFlowProblem
 from repro.core.path_lp import PathSetLP
+from repro.core.recovery import routing_from_flows
 from repro.core.tradeoff import locality_range_at_worst_case
 from repro.core.worst_case import _build, design_worst_case
-from repro.routing.twoturn import design_2turn, two_turn_paths
+from repro.routing.twoturn import (
+    design_2turn,
+    design_2turn_average,
+    two_turn_average_model,
+    two_turn_paths,
+)
+from repro.metrics import average_case_load
 from repro.topology.hypercube import Hypercube
 from repro.topology.symmetry import (
     TranslationGroup,
@@ -31,7 +40,11 @@ from repro.topology.symmetry import (
     stabilizer_maps,
 )
 from repro.topology.torus import Torus
-from repro.traffic.doubly_stochastic import sample_traffic_set
+from repro.traffic.doubly_stochastic import (
+    DesignSample,
+    close_under_point_group,
+    sample_traffic_set,
+)
 from repro.verify.certificates import collect_certificates
 
 TORI = {
@@ -67,6 +80,14 @@ def _design_values(torus):
     return out
 
 
+def _unreduced():
+    """Monkeypatch under which no formulation declares its point group."""
+    mp = pytest.MonkeyPatch()
+    for cls in (CanonicalFlowProblem, PathSetLP):
+        mp.setattr(cls, "declare_point_symmetry", lambda self, sample=None: False)
+    return mp
+
+
 def _lp_spans(events):
     return [e["attrs"] for e in events if e.get("name") == "lp.solve"]
 
@@ -81,9 +102,7 @@ def solved(request):
     with collect_certificates() as certs:
         got = _design_values(torus)
     spans = _lp_spans(tracer.events_since(mark))
-    mp = pytest.MonkeyPatch()
-    mp.setattr(CanonicalFlowProblem, "declare_point_symmetry", lambda self: None)
-    mp.setattr(PathSetLP, "declare_point_symmetry", lambda self: False)
+    mp = _unreduced()
     try:
         want = _design_values(torus)
     finally:
@@ -154,12 +173,92 @@ def test_hypercube_models_solve_unreduced():
     assert spans and not any("orbit_cols" in s for s in spans)
 
 
-def test_average_case_and_colgen_solve_unreduced():
+def test_torus_average_case_designs_solve_on_quotient():
+    # The design sample is closed inside the design, so both stages of
+    # both formulations solve on the quotient.
     torus = Torus(4, 2)
     sample = sample_traffic_set(np.random.default_rng(3), torus.num_nodes, 3)
-    spans = _spans_of(lambda: design_average_case(torus, sample))
-    spans += _spans_of(lambda: design_worst_case(torus, method="colgen"))
+    spans = _spans_of(
+        lambda: design_average_case(torus, sample, minimize_locality=True)
+    )
+    spans += _spans_of(lambda: design_2turn_average(torus, sample))
+    assert [s["model"] for s in spans] == ["average-case-design"] * 2 + ["2TURNA"] * 2
+    assert all("orbit_rows" in s and s["orbit_cols"] * 2 < s["cols"] for s in spans)
+    # Stage 2 re-solves the stage-1 model in place.
+    assert [s["warm"] for s in spans] == [False, True, False, True]
+
+
+def _closed_sample_values(torus, sample):
+    avg = design_average_case(torus, sample, minimize_locality=True)
+    tta = design_2turn_average(torus, sample)
+    return [
+        avg.average_load,
+        avg.avg_path_length,
+        tta.objective_load,
+        tta.avg_path_length,
+    ]
+
+
+@pytest.mark.parametrize("name", ["k3", "k4"])
+def test_closed_sample_designs_match_unreduced_model(name):
+    # The full closed-sample models solve 10-100x slower than their
+    # quotient (EXPERIMENTS), so the comparison runs on the small tori.
+    torus = TORI[name]
+    sample = sample_traffic_set(
+        np.random.default_rng(5), torus.num_nodes, 2, num_permutations=2
+    )
+    with collect_certificates(strict=True) as certs:
+        got = _closed_sample_values(torus, sample)
+    mp = _unreduced()
+    try:
+        want = _closed_sample_values(torus, sample)
+    finally:
+        mp.undo()
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
+    assert len(certs.certificates) == 4 and certs.all_valid
+
+
+@pytest.mark.parametrize("name, maps", [("3d", 48), ("3d-het", 16)])
+def test_closed_sample_3d_certificates_valid_against_full_model(name, maps):
+    torus = TORI[name]
+    sample = sample_traffic_set(
+        np.random.default_rng(5), torus.num_nodes, 1, num_permutations=2
+    )
+    assert len(stabilizer_maps(torus)) == maps
+    assert len(close_under_point_group(sample, torus)) == maps
+    tracer = obs.get_tracer()
+    mark = tracer.mark()
+    with collect_certificates(strict=True) as certs:
+        design = design_average_case(torus, sample, minimize_locality=True)
+    spans = _lp_spans(tracer.events_since(mark))
+    assert len(certs.certificates) == len(spans) == 2
+    for cert, span in zip(certs.certificates, spans):
+        assert "orbit_rows" in span and span["orbit_cols"] * 4 < span["cols"]
+        assert cert.valid, cert.summary()
+        assert cert.rows == span["rows"] and cert.variables == span["cols"]
+    alg = routing_from_flows(torus, design.flows, "avg-3d")
+    assert average_case_load(alg, sample) == pytest.approx(
+        design.average_load, rel=1e-6
+    )
+
+
+def test_colgen_masters_and_hypercube_average_case_solve_unreduced():
+    cube = Hypercube(3)
+    sample = sample_traffic_set(np.random.default_rng(3), cube.num_nodes, 3)
+    spans = _spans_of(lambda: design_average_case(cube, sample))
+    spans += _spans_of(lambda: design_worst_case(Torus(4, 2), method="colgen"))
     assert spans and not any("orbit_cols" in s for s in spans)
+
+
+def test_unclosed_sample_keeps_the_full_model():
+    torus = Torus(4, 2)
+    sample = DesignSample.of(
+        sample_traffic_set(np.random.default_rng(3), torus.num_nodes, 2)
+    )
+    lp, mean = two_turn_average_model(torus, sample)
+    lp.model.set_objective(mean.indices(), [1.0])
+    spans = _spans_of(lambda: lp.model.solve())
+    assert "orbit_cols" not in spans[-1]
 
 
 def test_path_set_not_closed_under_point_group_solves_unreduced():

@@ -8,6 +8,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cache import (
     DesignCache,
     cache_key,
@@ -397,6 +398,28 @@ class TestTaskFailures:
         with pytest.raises(TaskError):
             rerun.run(tasks)
         assert rerun.hits == len(tasks) - 1 and rerun.solves == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_task_emits_engine_task_span(self, tmp_path, toy_kinds, jobs):
+        from repro.obs.report import aggregate
+
+        tracer = obs.get_tracer()
+        mark = tracer.mark()
+        with pytest.raises(TaskError):
+            Engine(jobs=jobs, cache=DesignCache(tmp_path)).run(_toy_tasks())
+        spans = [
+            e for e in tracer.events_since(mark) if e.get("name") == "engine.task"
+        ]
+        # One span per task, in task order; only the failure has an error.
+        assert [e["attrs"]["label"] for e in spans] == [
+            t.label for t in _toy_tasks()
+        ]
+        (failed,) = [e["attrs"] for e in spans if "error" in e["attrs"]]
+        assert failed["label"] == "toy@-1.0" and failed["kind"] == "toy"
+        assert failed["error"] == "ArithmeticError: no design at ratio -1.0"
+        report = aggregate(tracer.events_since(mark))
+        assert report.failed_tasks == [failed]
+        assert "ArithmeticError: no design at ratio -1.0" in report.render()
 
     def test_dead_worker_keeps_finished_results(
         self, tmp_path, toy_kinds, monkeypatch

@@ -24,16 +24,15 @@ from scipy.optimize import linprog
 from repro import obs
 from repro.core import average_case
 from repro.core.capacity import solve_capacity
-from repro.core.path_lp import PathSetLP
 from repro.core.worst_case import RestrictedMasterProblem, _build
 from repro.constants import COLGEN_VIOLATION_TOL
 from repro.lp import LinearModel, LPError
 from repro.lp import model as lp_model
 from repro.lp.model import _first_solve_options, set_solve_observer
-from repro.routing.twoturn import two_turn_paths
+from repro.routing.twoturn import two_turn_average_model
 from repro.topology.symmetry import TranslationGroup
 from repro.topology.torus import Torus
-from repro.traffic.doubly_stochastic import sample_traffic_set
+from repro.traffic.doubly_stochastic import DesignSample, sample_traffic_set
 from repro.verify.certificates import collect_certificates
 
 
@@ -64,24 +63,25 @@ def _lp_spans(model_name):
 
 
 def _sample(torus):
-    return sample_traffic_set(np.random.default_rng(7), torus.num_nodes, 3)
+    # As drawn, not closed under the point group: the models stay full.
+    return DesignSample.of(
+        sample_traffic_set(np.random.default_rng(7), torus.num_nodes, 3)
+    )
 
 
 def _average_case_model(k):
     torus = Torus(k, 2)
-    prob, m = average_case._build(
+    prob, mean = average_case._build(
         torus, TranslationGroup(torus), _sample(torus), None, "=="
     )
-    prob.model.set_objective(m.indices(), np.full(m.size, 1 / m.size))
+    prob.model.set_objective(mean.indices(), [1.0])
     return prob.model
 
 
 def _two_turn_average_model(k):
     torus = Torus(k, 2)
-    lp = PathSetLP(torus, two_turn_paths(torus), name="2TURNA")
-    m = lp.model.add_variables("m", 3)
-    lp.add_average_case(_sample(torus), m)
-    lp.model.set_objective(m.indices(), np.full(3, 1 / 3))
+    lp, mean = two_turn_average_model(torus, _sample(torus))
+    lp.model.set_objective(mean.indices(), [1.0])
     return lp.model
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from repro.lp import LinearModel, LPError
 
@@ -199,3 +201,68 @@ class TestValidation:
             "ub_rows": 1,
             "nonzeros": 5,
         }
+
+
+class TestRowStorage:
+    """Each batch is held as one CSR block (duplicates summed), and a
+    section's blocks are joined at solve time: the model handed to the
+    solver is the one ``scipy.sparse`` builds from all the triplets."""
+
+    @staticmethod
+    def _build():
+        m = LinearModel("csr-rows")
+        x = m.add_variables("x", 3, ub=4.0)
+        # (0, x0) twice and (1, x2) three times in one batch.
+        m.add_le_batch(
+            [0, 0, 1, 1, 1, 0],
+            [0, 0, 2, 2, 2, 1],
+            [1.0, 0.5, 0.25, 0.25, 0.5, -1.0],
+            [3.0, 2.0],
+        )
+        m.add_eq(x.indices(), [1.0, 1.0, 1.0], 2.0)
+        y = m.add_variables("y", 2)  # later columns widen earlier blocks
+        m.add_ge_batch(
+            [0, 0, 1], [x.index(1), y.index(0), y.index(1)], [1.0] * 3, [1.0, 0.5]
+        )
+        m.set_objective(np.r_[x.indices(), y.indices()], [-1.0, -2.0, -0.5, 1.0, 1.0])
+        return m, x
+
+    def test_assembled_model_and_first_solve_match_linprog(self):
+        m, x = self._build()
+        c, a_ub, b_ub, a_eq, b_eq, bounds = m._assemble()
+        want_ub = sp.coo_matrix(
+            (
+                [1.0, 0.5, 0.25, 0.25, 0.5, -1.0, -1.0, -1.0, -1.0],
+                ([0, 0, 1, 1, 1, 0, 2, 2, 3], [0, 0, 2, 2, 2, 1, 1, 3, 4]),
+            ),
+            shape=(4, 5),
+        ).tocsr()
+        assert (a_ub != want_ub).nnz == 0
+        assert a_ub[0, 0] == 1.5 and a_ub[1, 2] == 1.0
+        assert np.array_equal(b_ub, [3.0, 2.0, -1.0, -0.5])
+        assert a_eq.shape == (1, 5) and np.array_equal(b_eq, [2.0])
+        assert m.stats()["nonzeros"] == 3 + 3 + 3  # duplicates summed
+        ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds)
+        sol = m.solve()
+        assert sol.objective == ref.fun and np.array_equal(sol.x, ref.x)
+        assert np.array_equal(sol.ub_duals, ref.ineqlin.marginals)
+        assert np.array_equal(sol.eq_duals, ref.eqlin.marginals)
+
+    def test_rows_appended_after_a_solve(self):
+        m, x = self._build()
+        m.solve()
+        joined = m._assemble()[1]
+        # Appended rows, duplicates again, land after the joined block.
+        m.add_le_batch(
+            [0, 0, 0], [x.index(0), x.index(0), x.index(1)], [0.5] * 3, [0.5]
+        )
+        got = m.solve()
+        c, a_ub, b_ub, a_eq, b_eq, bounds = m._assemble()
+        assert a_ub.shape == (5, 5)
+        assert (a_ub[:4] != joined).nnz == 0
+        assert a_ub[4].toarray().tolist() == [[1.0, 0.5, 0.0, 0.0, 0.0]]
+        assert b_ub[-1] == 0.5
+        ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds)
+        assert got.objective == pytest.approx(ref.fun, abs=1e-9)
+        # The joined rows are held once: assembling again copies nothing.
+        assert m._assemble()[1] is a_ub

@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.topology import Hypercube, Torus, TranslationGroup
+from repro.topology.symmetry import point_group_generators, stabilizer_maps
 from repro.traffic import (
     birkhoff_sample,
+    close_under_point_group,
+    permutation_matrix,
     random_permutation,
     random_permutations,
     sample_traffic_set,
     sinkhorn_sample,
+    uniform,
     validate_doubly_stochastic,
 )
 
@@ -137,3 +142,59 @@ class TestRandomPermutations:
     def test_batch(self):
         mats = random_permutations(np.random.default_rng(0), 8, 4)
         assert len(mats) == 4
+
+
+class TestCloseUnderPointGroup:
+    """``close_under_point_group``: every ``Λ∘g`` once, weights that
+    count ``(Λ, g)`` pairs, and the permutation each generator induces."""
+
+    def test_uniform_and_point_symmetric_traffic_close_to_themselves(self):
+        torus = Torus(4, 2)
+        closed = close_under_point_group([uniform(16)], torus)
+        assert len(closed) == 1 and np.array_equal(closed.matrices[0], uniform(16))
+        assert closed.weights.tolist() == [1.0]
+        assert closed.perms.tolist() == [[0]] * len(point_group_generators(torus))
+        # d = -s commutes with every point map: one matrix, again.
+        negate = permutation_matrix(TranslationGroup(torus).node_diff[0])
+        assert len(close_under_point_group([negate], torus)) == 1
+
+    def test_duplicates_are_merged_and_counted(self):
+        torus = Torus(4, 2)
+        lam = birkhoff_sample(np.random.default_rng(0), 16, 3)
+        once = close_under_point_group([lam], torus)
+        twice = close_under_point_group([lam, uniform(16), lam], torus)
+        assert len(twice) == len(once) + 1
+        assert twice.weights.sum() == pytest.approx(1.0)
+        # uniform takes all 8 of its pairs: a third of the 24.
+        assert twice.weights[len(once)] == pytest.approx(1 / 3)
+
+    @pytest.mark.parametrize("torus", [Torus(4, 2), Torus(3, 3)], ids=["2d", "3d"])
+    def test_closed_with_generator_permutations(self, torus):
+        sample = sample_traffic_set(np.random.default_rng(1), torus.num_nodes, 2)
+        closed = close_under_point_group(sample, torus)
+        maps = stabilizer_maps(torus)
+        assert len(closed) <= len(sample) * len(maps)
+        assert np.array_equal(closed.matrices[0], sample[0])
+        keys = [m.tobytes() for m in closed.matrices]
+        assert len(set(keys)) == len(keys)
+        for g in maps:  # closed under the whole group
+            for mat in closed.matrices:
+                img = np.empty_like(mat)
+                img[np.ix_(g.node_map, g.node_map)] = mat
+                assert img.tobytes() in keys
+        gens = point_group_generators(torus)
+        assert closed.perms.shape == (len(gens), len(closed))
+        for g, perm in zip(gens, closed.perms):
+            assert sorted(perm) == list(range(len(closed)))
+            for j, mat in enumerate(closed.matrices):
+                img = closed.matrices[perm[j]]
+                assert np.array_equal(img[np.ix_(g.node_map, g.node_map)], mat)
+            # Weights are invariant, so the mean row maps onto itself.
+            assert np.array_equal(closed.weights[perm], closed.weights)
+
+    def test_other_topologies_keep_the_sample(self):
+        cube = Hypercube(3)
+        sample = sample_traffic_set(np.random.default_rng(2), 8, 3)
+        closed = close_under_point_group(sample, cube)
+        assert closed.perms is None and len(closed) == 3
+        assert closed.weights.tolist() == [1 / 3] * 3
