@@ -37,6 +37,7 @@ guaranteed throughput of 0 rather than failing the sweep.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -95,12 +96,18 @@ def solve_fault_wc(task: DesignTask):
     under ``renormalize`` on any link failure) is a result, not an
     error: ``disconnected=True`` with load 0."""
     spec = task.spec
-    torus = Torus(int(task.k), int(task.n), bandwidths=task.bandwidths or None)
     if spec.algorithm == "2TURN":
+        # Solved per task, not memoized: which tasks share a process
+        # differs between serial and pooled runs, and the metrics
+        # registry (LP solves included) must read the same for both.
+        torus = Torus(int(task.k), int(task.n), bandwidths=task.bandwidths or None)
         design = design_2turn(torus, TranslationGroup(torus))
         base_alg, stats = design.routing, dict(design.model_stats)
     else:
-        base_alg, stats = _PLAIN_ALGORITHMS[spec.algorithm](torus), {}
+        torus, base_alg = _plain_base(
+            int(task.k), int(task.n), task.bandwidths, spec.algorithm
+        )
+        stats = {}
     degraded = degrade(torus, FaultSet(channels=spec.channels))
     routing = degrade_routing(base_alg, degraded, mode=spec.reroute)
     obs.metric_count(
@@ -133,6 +140,16 @@ def mean_path_length(routing, degraded) -> float:
 
 #: The fault sweep's algorithms that need no design LP.
 _PLAIN_ALGORITHMS = {"DOR": DimensionOrderRouting, "VAL": VAL, "IVAL": IVAL}
+
+
+@functools.lru_cache(maxsize=len(_PLAIN_ALGORITHMS))
+def _plain_base(k: int, n: int, bandwidths: tuple, algorithm: str):
+    """``(torus, intact routing)`` of an LP-free ``fault_wc`` task, built
+    once per process and sweep: every fault prefix of a sweep degrades
+    the same base, so its path table is built once, not once per task.
+    :func:`run` clears it when its tasks are done."""
+    torus = Torus(k, n, bandwidths=bandwidths or None)
+    return torus, _PLAIN_ALGORITHMS[algorithm](torus)
 
 
 def _base_algorithms(torus: Torus, engine: Engine) -> dict:
@@ -197,6 +214,10 @@ def run(
             for alg in FAULT_ALGORITHMS
         ]
         wc_results = engine.run(tasks)
+        # The bases served this sweep's tasks; kept alive into the next
+        # sweep they pin the allocator's heap (a long-lived process
+        # grew ~5 MB of RSS per sweep).
+        _plain_base.cache_clear()
 
         seed_list = (
             None if seeds is None else tuple(seed + i for i in range(seeds))

@@ -28,6 +28,7 @@ class Fig1Data:
 
     curve: list[tuple[float, float]]  # (normalized length, wc throughput / cap)
     points: dict[str, tuple[float, float]]
+    topology: str  # the run's torus, e.g. "8-ary 2-cube"
 
     def rows(self):
         rows = [("optimal", h, th) for h, th in self.curve]
@@ -36,7 +37,7 @@ class Fig1Data:
 
     def render(self) -> str:
         return render_table(
-            "Figure 1: worst-case throughput vs. locality (8-ary 2-cube)",
+            f"Figure 1: worst-case throughput vs. locality ({self.topology})",
             ["series", "H_avg / H_min", "Theta_wc / capacity"],
             self.rows(),
         )
@@ -91,4 +92,4 @@ def run(
         for name, alg in standard_algorithms(ctx.torus).items():
             m = evaluate_algorithm(alg, capacity_load=ctx.capacity_load)
             points[name] = (m.normalized_path_length, m.worst_case_vs_capacity)
-    return Fig1Data(curve=curve, points=points)
+    return Fig1Data(curve=curve, points=points, topology=ctx.torus.name)

@@ -33,6 +33,7 @@ class Fig5Data:
     #: max % above optimal locality, per family
     max_gap_ival: float
     max_gap_2turn: float
+    topology: str  # the run's torus, e.g. "8-ary 2-cube"
 
     def rows(self):
         rows = [("DOR~IVAL", a, h, th) for a, h, th in self.dor_ival]
@@ -41,7 +42,7 @@ class Fig5Data:
 
     def render(self) -> str:
         body = render_table(
-            "Figure 5: interpolated algorithms (8-ary 2-cube)",
+            f"Figure 5: interpolated algorithms ({self.topology})",
             ["family", "alpha", "H_avg / H_min", "Theta_wc / capacity"],
             self.rows(),
         )
@@ -159,4 +160,5 @@ def run(
         optimal=optimal,
         max_gap_ival=_max_gap(dor_ival, optimal),
         max_gap_2turn=_max_gap(dor_2turn, optimal),
+        topology=ctx.torus.name,
     )

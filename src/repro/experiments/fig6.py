@@ -28,6 +28,7 @@ class Fig6Data:
     curve: list[tuple[float, float]]  # (normalized length, avg throughput / cap)
     points: dict[str, tuple[float, float]]
     max_average_throughput: float  # best over the curve, fraction of capacity
+    topology: str  # the run's torus, e.g. "8-ary 2-cube"
 
     def rows(self):
         rows = [("optimal", h, th) for h, th in self.curve]
@@ -36,7 +37,7 @@ class Fig6Data:
 
     def render(self) -> str:
         body = render_table(
-            "Figure 6: average-case throughput vs. locality (8-ary 2-cube)",
+            f"Figure 6: average-case throughput vs. locality ({self.topology})",
             ["series", "H_avg / H_min", "Theta_avg / capacity"],
             self.rows(),
         )
@@ -129,4 +130,5 @@ def run(
         curve=curve,
         points=points,
         max_average_throughput=max(th for _, th in curve),
+        topology=ctx.torus.name,
     )

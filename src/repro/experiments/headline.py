@@ -26,13 +26,14 @@ log = obs.get_logger(__name__)
 class HeadlineData:
     #: name -> (normalized locality, wc/cap, avg/cap)
     table: dict[str, tuple[float, float, float]]
+    topology: str  # the run's torus, e.g. "8-ary 2-cube"
 
     def rows(self):
         return [(n, *vals) for n, vals in self.table.items()]
 
     def render(self) -> str:
         return render_table(
-            "Sections 5.2/5.4 headline metrics (8-ary 2-cube)",
+            f"Sections 5.2/5.4 headline metrics ({self.topology})",
             [
                 "algorithm",
                 "H_avg / H_min",
@@ -87,4 +88,4 @@ def run(ctx: ExperimentContext, engine: Engine | None = None) -> HeadlineData:
                 m.worst_case_vs_capacity,
                 m.average_case_vs_capacity,
             )
-    return HeadlineData(table=table)
+    return HeadlineData(table=table, topology=ctx.torus.name)

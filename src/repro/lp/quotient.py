@@ -35,7 +35,7 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _RHS_SALT = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
+def splitmix64(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, elementwise on uint64 (wrapping), in place:
     ``z`` must be a fresh array (one temporary instead of five)."""
     z ^= z >> np.uint64(30)
@@ -53,9 +53,9 @@ def _bits(values: np.ndarray) -> np.ndarray:
 
 def _row_hashes(a, rhs_hash: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Per-row order-free hash of ``(keys[col], value)`` pairs plus rhs."""
-    entry = _mix(_bits(a.data))
+    entry = splitmix64(_bits(a.data))
     entry ^= keys[a.indices]
-    entry = _mix(entry)
+    entry = splitmix64(entry)
     entry[a.data == 0] = 0
     sums = np.concatenate([[np.uint64(0)], np.cumsum(entry, dtype=np.uint64)])
     return sums[a.indptr[1:]] - sums[a.indptr[:-1]] + rhs_hash
@@ -96,7 +96,7 @@ class _Section:
             empty = np.zeros(0, dtype=np.int64)
             return cls(empty, empty, empty)
         a = a.tocsr()
-        rhs_hash = _mix(_bits(rhs) ^ _RHS_SALT)
+        rhs_hash = splitmix64(_bits(rhs) ^ _RHS_SALT)
         base = _row_hashes(a, rhs_hash, keys)
         order = np.argsort(base, kind="stable")
         perms = []

@@ -8,6 +8,9 @@ phases:
    row and the full path is sampled from the oblivious routing
    algorithm.  Self-addressed draws complete immediately (they never
    enter the network — the traffic matrix diagonal loads no channel).
+   Every draw is a counter-based uniform (:func:`counter_uniforms`): a
+   pure function of ``(seed, cycle, node, slot)``, so any kernel that
+   reads the same counters runs the same process.
 2. **Service** — every channel forwards up to ``bandwidth`` packets
    from its queue; a forwarded packet either joins the next channel's
    queue or ejects at its destination.
@@ -28,6 +31,7 @@ import numpy as np
 
 from repro import obs
 from repro.constants import DEFAULT_SIM_BACKEND, DISTRIBUTION_ATOL
+from repro.lp.quotient import splitmix64
 from repro.routing.base import ObliviousRouting
 from repro.routing.paths import path_channels
 from repro.sim.packets import Packet
@@ -47,6 +51,45 @@ BACKENDS = ("reference", "vectorized")
 #: come back) — and ``"up"`` restores it.  Contrast ``fault_schedule``,
 #: whose kills are permanent and destroy queued packets.
 LINK_ACTIONS = ("down", "up")
+
+
+#: Counter slots of a node's cycle: the Bernoulli injection mask, the
+#: destination and the path choice each read their own uniform.
+SLOT_MASK, SLOT_DEST, SLOT_PATH = 0, 1, 2
+_NUM_SLOTS = 3
+#: Resolution of a counter uniform, ``u = bits * 2**-32``.  32 bits
+#: leave room above them for a row index in one uint64 search key (see
+#: the vectorized kernel's decode).
+UNIFORM_BITS = 32
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_SEED_SALT = np.uint64(0xD1B54A32D192ED03)
+
+
+def stream_keys(seeds, cycles) -> np.ndarray:
+    """Keys of the injection stream, ``mix(mix(seed ^ salt) + cycle)``,
+    broadcast over ``seeds`` and ``cycles`` (uint64, at least 1-d)."""
+    keys = splitmix64(np.array(seeds, dtype=np.uint64, ndmin=1) ^ _SEED_SALT)
+    return splitmix64(keys + np.asarray(cycles, dtype=np.uint64))
+
+
+def counter_index(node, slot) -> np.ndarray:
+    """Increment ``(3 node + slot + 1) * golden`` that places the draw of
+    ``(node, slot)`` in a key's splitmix64 sequence (uint64, broadcast,
+    at least 1-d)."""
+    index = np.array(node, dtype=np.uint64, ndmin=1) * np.uint64(_NUM_SLOTS)
+    return (index + (np.asarray(slot, dtype=np.uint64) + np.uint64(1))) * _GOLDEN
+
+
+def counter_bits(keys: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Draws at ``index`` of the streams at ``keys``: the top 32 bits of
+    the splitmix64 output (uint64).  Stateless, so a draw does not depend
+    on which other draws were made, in what order, or by which kernel."""
+    return splitmix64(keys + index) >> np.uint64(64 - UNIFORM_BITS)
+
+
+def counter_uniforms(keys: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Uniforms ``counter_bits(keys, index) * 2**-32`` in ``[0, 1)``."""
+    return counter_bits(keys, index) * 2.0**-UNIFORM_BITS
 
 
 def _check_backend(backend: str) -> None:
@@ -152,9 +195,8 @@ def service_budgets(bandwidth: np.ndarray, cycle: int) -> np.ndarray:
     ``T * b_c`` — the fluid semantics heterogeneous (e.g. half-rate TSV)
     links need.  Integer bandwidths get exactly ``b_c`` every cycle, so
     the historical behaviour is unchanged.  The schedule is a pure
-    function of ``(bandwidth, cycle)`` and consumes no randomness, which
-    is what lets both sim backends share it while staying draw-for-draw
-    identical on the injection RNG stream.
+    function of ``(bandwidth, cycle)`` and draws no randomness, like
+    everything in the service phase.
     """
     b = np.asarray(bandwidth, dtype=np.float64)
     # The epsilon absorbs accumulated float error for non-dyadic rates
@@ -164,6 +206,12 @@ def service_budgets(bandwidth: np.ndarray, cycle: int) -> np.ndarray:
     later = np.floor((cycle + 1) * b + eps)
     now = np.floor(cycle * b + eps)
     return (later - now).astype(np.int64)
+
+
+def check_seed(seed) -> None:
+    """Seeds key the counter stream as uint64."""
+    if not 0 <= int(seed) < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -204,6 +252,7 @@ class SimulationConfig:
     def __post_init__(self):
         if not 0.0 <= self.injection_rate <= 1.0:
             raise ValueError("injection_rate must be in [0, 1]")
+        check_seed(self.seed)
         if self.warmup >= self.cycles:
             raise ValueError("warmup must leave measurement cycles")
         object.__setattr__(
@@ -340,26 +389,26 @@ def _simulate(
 ) -> SimulationResult:
     net = algorithm.network
     validate_doubly_stochastic(traffic, tol=DISTRIBUTION_ATOL)
-    rng = np.random.default_rng(config.seed)
     queues: list[deque[Packet]] = [deque() for _ in range(net.num_channels)]
     integral = np.allclose(np.round(net.bandwidth), net.bandwidth)
     bandwidth = net.bandwidth.round().astype(np.int64) if integral else None
 
     # Path cache: sampling a fresh path per packet through the full
-    # distribution is the semantics; caching per-pair distributions keeps
+    # distribution is the semantics; caching per-pair choice CDFs keeps
     # it affordable.
     dist_cache: dict[tuple[int, int], tuple[list[tuple[int, ...]], np.ndarray]] = {}
 
-    def sample_channels(s: int, d: int) -> tuple[int, ...]:
+    def sample_channels(s: int, d: int, u: float) -> tuple[int, ...]:
         key = (s, d)
         if key not in dist_cache:
             dist = algorithm.path_distribution(s, d)
             chans = [tuple(path_channels(net, p)) for p, _ in dist]
             probs = np.asarray([w for _, w in dist])
-            dist_cache[key] = (chans, probs / probs.sum())
-        chans, probs = dist_cache[key]
-        idx = rng.choice(len(chans), p=probs) if len(chans) > 1 else 0
-        return chans[idx]
+            cdf = (probs / probs.sum()).cumsum()
+            cdf /= cdf[-1]
+            dist_cache[key] = (chans, cdf)
+        chans, cdf = dist_cache[key]
+        return chans[int(np.searchsorted(cdf, u, side="right"))]
 
     uid = 0
     delivered = 0
@@ -390,6 +439,7 @@ def _simulate(
     down = np.zeros(net.num_channels, dtype=bool)
 
     n = net.num_nodes
+    index = counter_index(np.arange(n)[:, None], np.arange(_NUM_SLOTS))
     cum_traffic = np.cumsum(traffic, axis=1)
     backlog_at_warmup = 0
     queue_peak = 0
@@ -404,13 +454,13 @@ def _simulate(
         if cycle == config.warmup:
             backlog_at_warmup = sum(len(q) for q in queues)
         # 1. injection
-        inject_mask = rng.random(n) < config.injection_rate
-        for s in np.nonzero(inject_mask)[0]:
-            d = int(np.searchsorted(cum_traffic[s], rng.random()))
+        u = counter_uniforms(stream_keys(config.seed, cycle), index)
+        for s in np.nonzero(u[:, SLOT_MASK] < config.injection_rate)[0]:
+            d = int(np.searchsorted(cum_traffic[s], u[s, SLOT_DEST]))
             d = min(d, n - 1)
             if d == s:
                 continue  # self-traffic never enters the network
-            channels = sample_channels(int(s), d)
+            channels = sample_channels(int(s), d, u[s, SLOT_PATH])
             pkt = Packet(
                 uid=uid, src=int(s), dst=d, channels=channels, inject_time=cycle
             )

@@ -1,11 +1,11 @@
 """Vectorized struct-of-arrays simulation kernel.
 
-This backend replays the *exact* stochastic process of the reference
-per-packet loop in :mod:`repro.sim.network_sim` — same seeded RNG
-stream, same output-queued FIFO arbitration — but holds every in-flight
-packet in flat NumPy arrays and advances the whole population one cycle
-at a time with array-wide updates.  The batch axis is the **replica**:
-each :class:`Replica` is an independent ``(injection_rate, seed,
+This backend runs the stochastic process of the reference per-packet
+loop in :mod:`repro.sim.network_sim` — same counter-based uniforms,
+same output-queued FIFO arbitration — but holds every in-flight packet
+in flat NumPy arrays and advances the whole population one cycle at a
+time with array-wide updates.  The batch axis is the **replica**: each
+:class:`Replica` is an independent ``(injection_rate, seed,
 fault_schedule, link_schedule)`` tuple, so a whole (rate × seed × fault)
 grid runs as one call — the per-``(s, d)`` path tables are compiled
 once and the per-cycle work for all replicas shares the same vector
@@ -20,26 +20,23 @@ sweep.  A one-table simulator is simply the one-table stack.
 Path compile reads the routing's flat path table
 (:meth:`~repro.routing.base.ObliviousRouting.path_table`, built once
 per routing with array ops): a table's itineraries are one gather of
-the rows of its traffic's support pairs, and only the choice CDF is
-still built pair by pair, with the reference's float normalization
-chain.  The reference simulator keeps calling ``path_distribution`` —
-which every routing's table reproduces exactly — so the differential
-suite checks the compile too.
+the rows of its traffic's support pairs, and its choice CDFs are one
+padded block (:func:`choice_cdfs`) equal bit for bit to the reference's
+per-pair float chain.  The reference simulator keeps calling
+``path_distribution`` — which every routing's table reproduces exactly
+— so the differential suite checks the compile too.
 
 Equivalence contract (enforced by ``tests/sim/test_differential.py``
 and ``tests/sim/test_replicas.py``):
 
-* **Injection** draws are consumed in the reference's order — one
-  uniform vector per cycle for the Bernoulli mask, then per injecting
-  node (ascending id) one uniform for the destination and, iff the
-  pair's path distribution has more than one entry, one uniform for the
-  path choice.  The kernel reproduces this interleaved stream without a
-  per-packet Python loop: each replica over-draws one block per cycle
-  (mask plus the per-injector maximum), destinations are decoded with
-  a vectorized fixpoint (draw positions depend only on *predecessor*
-  flags, so the iteration converges once the flags stabilize), and the
-  generator then steps back over the draws the reference would not
-  have consumed.
+* **Injection** reads one stateless uniform per ``(seed, cycle, node,
+  slot)`` (:func:`~repro.sim.network_sim.counter_uniforms`): slot 0
+  decides the Bernoulli injection, slot 1 the destination (a left
+  ``searchsorted`` on the traffic row's cumulative sum) and slot 2 the
+  path (a right ``searchsorted`` on the pair's choice CDF).  Both
+  backends read the same counters, so there is no draw order to
+  replay: the kernel decodes every replica's injections in one array
+  pass, with nothing over-drawn and no generator to rewind.
 * **Arbitration** is deterministic: channels service their queues in
   channel-index order, FIFO within a queue, up to ``bandwidth`` packets
   per cycle; forwarded packets join their next queue in (forwarding
@@ -68,14 +65,23 @@ from repro import obs
 from repro.constants import DEFAULT_SIM_BACKEND, DISTRIBUTION_ATOL
 from repro.routing.base import ObliviousRouting
 from repro.sim.network_sim import (
+    SLOT_DEST,
+    SLOT_MASK,
+    SLOT_PATH,
+    UNIFORM_BITS,
     SimulationConfig,
     SimulationResult,
     _check_backend,
     _record_sim_metrics,
+    check_seed,
+    counter_bits,
+    counter_index,
+    counter_uniforms,
     normalize_fault_schedule,
     normalize_link_schedule,
     service_budgets,
     simulate,
+    stream_keys,
     validate_channel_events,
 )
 from repro.sim.stats import latency_stats
@@ -84,20 +90,24 @@ from repro.traffic.doubly_stochastic import validate_doubly_stochastic
 log = obs.get_logger(__name__)
 
 #: Columns of the in-flight packet array (struct of arrays as one 2-D
-#: int64 block: one row per packet, compacted every cycle).  ``_QKEY``
-#: is the packet's current queue in the flat queue space: its replica's
-#: queue-block base plus the channel it waits on.
-_REP, _QKEY, _SEQ, _POS, _END, _ITIME, _PLEN = range(7)
-_NUM_COLS = 7
+#: int64 block: one row per packet).  ``_QKEY`` is the packet's current
+#: queue in the flat queue space: its replica's queue-block base plus
+#: the channel it waits on.  Rows are kept in enqueue order — injected
+#: and forwarded packets join at the end — so a packet's row position
+#: is its FIFO sequence.
+_REP, _QKEY, _POS, _END, _ITIME, _PLEN = range(6)
+_NUM_COLS = 6
 
-#: Bits reserved for the enqueue sequence in the combined sort key.  The
-#: sequence counter is monotone per run and bounded by total enqueues,
-#: far below 2**40.
-_SEQ_BITS = 40
+#: Bits reserved for the row position in the combined ``(queue, row)``
+#: sort key; a launch holds far fewer than 2**40 packets.
+_POS_BITS = 40
 
-#: Period of the PCG64 state; advancing by ``_PCG64_PERIOD - k`` rewinds
-#: a generator by ``k`` draws.
-_PCG64_PERIOD = 1 << 128
+#: Position of the row above the cut in a search key (see
+#: :func:`_search_keys`).
+_ROW_SHIFT = np.uint64(UNIFORM_BITS + 1)
+
+#: Cycles of stream keys computed per call.
+_KEY_BLOCK = 256
 
 
 @dataclasses.dataclass(frozen=True)
@@ -108,11 +118,10 @@ class Replica:
     ``(injection_rate, seed, fault_schedule, link_schedule)``, plus the
     index of the path table (in the launching simulator's stack) it
     routes on.  Replicas in one batch share the compiled path tables and
-    the cycle loop but nothing stochastic — each owns a fresh
-    ``default_rng(seed)`` and its own channel fault/link state — so its
-    counts are draw-for-draw identical to an individual
-    :func:`repro.sim.simulate` call with the same tuple on its table's
-    ``(algorithm, traffic)``.
+    the cycle loop but nothing stochastic — each reads the counter
+    stream of its own seed and owns its channel fault/link state — so
+    its counts are identical to an individual :func:`repro.sim.simulate`
+    call with the same tuple on its table's ``(algorithm, traffic)``.
     """
 
     injection_rate: float
@@ -126,6 +135,7 @@ class Replica:
             raise ValueError("injection_rate must be in [0, 1]")
         if int(self.table) < 0:
             raise ValueError("table must be a nonnegative index")
+        check_seed(self.seed)
         object.__setattr__(self, "injection_rate", float(self.injection_rate))
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "table", int(self.table))
@@ -185,18 +195,57 @@ def _queue_ranks(qkey_sorted: np.ndarray) -> np.ndarray:
     return idx - idx[head][np.cumsum(head) - 1]
 
 
-def _pop_selection(
-    qkey: np.ndarray, seq: np.ndarray, budgets: np.ndarray
-) -> np.ndarray:
-    """Indices of the packets popped this cycle (``qkey`` non-empty).
+def _search_keys(first: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sorted uint64 search keys ``first << 33 | cut(value)``.
 
-    One sort on the combined ``(queue, sequence)`` key, then each
-    queue's first ``budgets[q]`` packets in FIFO order — the reference
-    arbitration contract (channel-index order across queues, FIFO
-    within).  Emission order is the sorted order, which the cycle loop
-    relies on for deterministic downstream processing.
+    ``cut(v) = floor(min(v, 1) * 2**32)``.  For a counter uniform
+    ``u = bits * 2**-32``, ``v < u`` iff ``cut(v) < bits`` and
+    ``v <= u`` iff ``cut(v) <= bits`` (scaling by a power of two is
+    exact), so one ``np.searchsorted`` of ``first << 33 | bits`` over a
+    whole table of ascending runs answers every row's float search at
+    once.  A cut never exceeds ``2**32``, so it never reaches the row
+    bits.
     """
-    order = np.argsort((qkey << _SEQ_BITS) | seq)
+    cut = np.floor(np.minimum(values, 1.0) * 2.0**UNIFORM_BITS)
+    return (first.astype(np.uint64) << _ROW_SHIFT) | cut.astype(np.uint64)
+
+
+def choice_cdfs(prob: np.ndarray, row_ptr: np.ndarray) -> np.ndarray:
+    """Padded ``(rows × most paths)`` choice CDFs of a CSR path table.
+
+    Row ``i`` is the reference simulator's chain for its pair, bit for
+    bit: ``probs / probs.sum()``, then ``cumsum``, then ``/= cdf[-1]``,
+    with ``+inf`` past the row's paths.  NumPy's pairwise ``sum``
+    associates by row length, so rows are summed per length; the rest
+    is elementwise or a row-wise ``cumsum`` on the padded block.
+    """
+    counts = np.diff(row_ptr)
+    rows = np.arange(counts.size)
+    owner = np.repeat(rows, counts)
+    col = np.arange(prob.size) - row_ptr[owner]
+    block = np.zeros((counts.size, int(counts.max())))
+    block[owner, col] = prob
+    total = np.empty(counts.size)
+    for length in np.unique(counts).tolist():
+        same = counts == length
+        total[same] = block[same, :length].sum(axis=1)
+    cdf = np.cumsum(block / total[:, None], axis=1)
+    cdf /= cdf[rows, counts - 1][:, None]
+    cdf[np.arange(block.shape[1]) >= counts[:, None]] = np.inf
+    return cdf
+
+
+def _pop_selection(qkey: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+    """Indices of the packets popped this cycle (``qkey`` non-empty, in
+    enqueue order).
+
+    One sort by ``(queue, row)``, then each queue's first ``budgets[q]``
+    packets in FIFO order — the reference arbitration contract
+    (channel-index order across queues, FIFO within).  Emission order is
+    the sorted order, which the cycle loop relies on for deterministic
+    downstream processing.
+    """
+    order = np.argsort((qkey << _POS_BITS) | np.arange(qkey.size))
     q_sorted = qkey[order]
     return order[_queue_ranks(q_sorted) < budgets[q_sorted]]
 
@@ -221,8 +270,8 @@ class VectorizedSimulator:
     Compilation materializes, for every drawable source/destination
     pair, the reference simulator's cached path distribution: the
     per-path channel itineraries (sliced from the routing's path table
-    into one flat array) and the choice CDF (replicating the exact float
-    normalization the reference feeds to ``Generator.choice``).  The tables are reused across every
+    into one flat array) and the choice CDF (the reference's exact float
+    normalization chain).  The tables are reused across every
     :meth:`run`/:meth:`run_replicas` call, which is what amortizes setup
     over a rate sweep, a seed ensemble, or a saturation bisection.
 
@@ -253,23 +302,25 @@ class VectorizedSimulator:
             self._bw_exact.size, np.allclose(self._bw_round, self._bw_exact)
         )
         self._diag_mean = np.asarray([np.diag(traffic).mean()])
-        # Destination decode counts the CDF entries below the draw; the
-        # +inf last column caps the count at n - 1, like the reference.
-        self._cum_traffic = np.cumsum(traffic, axis=1)
-        self._cum_traffic[:, -1] = np.inf
+        # Destination decode counts the CDF entries below the draw (a
+        # left searchsorted on row s's keys); the +inf last column caps
+        # the count at n - 1, like the reference.
+        cum_traffic = np.cumsum(traffic, axis=1)
+        cum_traffic[:, -1] = np.inf
+        self._dest_keys = _search_keys(np.arange(n).repeat(n), cum_traffic.ravel())
 
         n2 = n * n
-        # Pair keys are ``table * n**2 + s * n + d``.  -1 marks an
-        # uncompiled pair; self-pairs have the single zero-hop path and
-        # never consume a path draw.
-        self._npaths = np.full(n2, -1, dtype=np.int64)
-        self._npaths[np.arange(n) * (n + 1)] = 1
+        # Pair keys are ``table * n**2 + s * n + d``; a pair's base is
+        # the global id of its first path, -1 while it is uncompiled
+        # (self-pairs never enter the network and stay so).
         self._pair_base = np.full(n2, -1, dtype=np.int64)
         # Path itineraries are int32: they dominate a table's footprint.
         self._path_start = np.zeros(0, dtype=np.int32)
         self._path_len = np.zeros(0, dtype=np.int32)
         self._chan_flat = np.zeros(0, dtype=np.int32)
-        self._cdf = np.full((n2, 1), np.inf)
+        # One search key per path: its pair's first path id over its
+        # choice-CDF entry (a right searchsorted yields the path id).
+        self._path_keys = np.zeros(0, dtype=np.uint64)
 
         support = np.argwhere(traffic > 0.0)
         pairs = [(int(s), int(d)) for s, d in support if s != d]
@@ -281,12 +332,6 @@ class VectorizedSimulator:
                 paths=int(self._path_len.size),
                 channel_entries=int(self._chan_flat.size),
             )
-        # Starting guess for the injection-decode fixpoint, per source:
-        # 2 draws if its packet more likely than not picks a multi-path
-        # destination, else 1.  The fixpoint's solution does not depend
-        # on the guess; a good one only saves iterations.
-        multi = self._npaths.reshape(n, n) > 1
-        self._guess = 1 + ((traffic * multi).sum(axis=1) > 0.5).astype(np.int64)
 
     @classmethod
     def stack(cls, sims) -> "VectorizedSimulator":
@@ -314,7 +359,7 @@ class VectorizedSimulator:
         ).astype(np.int64)
         for name in (
             "_bw_exact", "_bw_round", "_bw_integral", "_diag_mean",
-            "_cum_traffic", "_guess", "_npaths", "_path_len", "_chan_flat",
+            "_path_len", "_chan_flat",
         ):
             setattr(out, name, np.concatenate([getattr(s, name) for s in sims]))
         path_off = np.cumsum([0] + [s._path_len.size for s in sims])
@@ -328,15 +373,19 @@ class VectorizedSimulator:
         out._path_start = np.concatenate(
             [s._path_start + int(off) for s, off in zip(sims, entry_off)]
         )
-        width = max(s._cdf.shape[1] for s in sims)
-        out._cdf = np.concatenate(
+        # Shifting a table's rows (paths) by ``off`` adds ``off << 33``
+        # to its keys.
+        row_off = n * np.cumsum([0] + [len(s._tables) for s in sims])
+        out._dest_keys = np.concatenate(
             [
-                np.pad(
-                    s._cdf,
-                    ((0, 0), (0, width - s._cdf.shape[1])),
-                    constant_values=np.inf,
-                )
-                for s in sims
+                s._dest_keys + (np.uint64(off) << _ROW_SHIFT)
+                for s, off in zip(sims, row_off)
+            ]
+        )
+        out._path_keys = np.concatenate(
+            [
+                s._path_keys + (np.uint64(off) << _ROW_SHIFT)
+                for s, off in zip(sims, path_off)
             ]
         )
         return out
@@ -350,7 +399,7 @@ class VectorizedSimulator:
         n = self.num_nodes
         off = table * n * n
         todo = [
-            (s, d) for s, d in pairs if self._npaths[off + s * n + d] < 0
+            (s, d) for s, d in pairs if self._pair_base[off + s * n + d] < 0
         ]
         if not todo:
             return
@@ -361,20 +410,19 @@ class VectorizedSimulator:
             s, d = todo[int(np.argmin(counts))]
             algorithm.path_distribution(s, d)  # raises the routing's reason
             raise ValueError(f"{algorithm.name} has no path for ({s}, {d})")
-        cdfs = []
-        for lo, hi in zip(paths.row_ptr[:-1].tolist(), paths.row_ptr[1:].tolist()):
-            # Replicate the reference's normalization chain exactly:
-            # dist_cache stores probs / probs.sum(); Generator.choice
-            # then uses cdf = p.cumsum(); cdf /= cdf[-1].
-            probs = paths.prob[lo:hi]
-            probs = probs / probs.sum()
-            cdf = probs.cumsum()
-            cdf /= cdf[-1]
-            cdfs.append(cdf)
-
+        cdf = choice_cdfs(paths.prob, paths.row_ptr)
         keys = off + rows
-        self._pair_base[keys] = self._path_len.size + paths.row_ptr[:-1]
-        self._npaths[keys] = counts
+        base = self._path_len.size + paths.row_ptr[:-1]
+        self._pair_base[keys] = base
+        self._path_keys = np.concatenate(
+            [
+                self._path_keys,
+                _search_keys(
+                    np.repeat(base, counts),
+                    cdf[np.arange(cdf.shape[1]) < counts[:, None]],
+                ),
+            ]
+        )
         self._path_start = np.concatenate(
             [
                 self._path_start,
@@ -387,21 +435,14 @@ class VectorizedSimulator:
         self._chan_flat = np.concatenate(
             [self._chan_flat, paths.channels.astype(np.int32)]
         )
-        width = max(self._cdf.shape[1], int(counts.max()))
-        if width > self._cdf.shape[1]:
-            grown = np.full((self._cdf.shape[0], width), np.inf)
-            grown[:, : self._cdf.shape[1]] = self._cdf
-            self._cdf = grown
-        for key, count, cdf in zip(keys.tolist(), counts.tolist(), cdfs):
-            self._cdf[key, :count] = cdf
-            self._cdf[key, count:] = np.inf
 
     def _ensure_pairs(self, keys: np.ndarray) -> None:
-        """Lazily compile pairs hit by a boundary draw (zero-traffic
-        destinations are reachable only when a uniform lands exactly on
-        a CDF step — measure zero, but the reference routes them).
-        Each missing pair compiles into its own table."""
-        need = self._npaths[keys] < 0
+        """Lazily compile pairs hit by a boundary draw (a zero-traffic
+        destination is reachable only through a draw of exactly 0 or
+        the ``n - 1`` cap when a traffic row sums to just below the
+        draw — rare, but the reference routes them).  Each missing pair
+        compiles into its own table."""
+        need = self._pair_base[keys] < 0
         if need.any():
             n = self.num_nodes
             missing = np.unique(keys[need])
@@ -414,75 +455,29 @@ class VectorizedSimulator:
                 )
 
     # ------------------------------------------------------------------
-    # Injection decoding (exact RNG-stream replay)
+    # Injection decoding
     # ------------------------------------------------------------------
-    def _decode_injections(self, draws, rep_idx, srcs, rep_table):
-        """Decode this cycle's injections from the replicas' draws.
+    def _decode_injections(self, stream, inject, row_keys, self_pairs, draw_index):
+        """Replica index and global path id of every packet injected this
+        cycle, all replicas in one pass.
 
-        ``draws[i]`` holds replica ``i``'s uniforms for this cycle: the
-        ``n`` Bernoulli-mask draws, then an over-drawn block of ``2 n``
-        (two per injector at most).  ``(rep_idx, srcs)`` lists the
-        injecting nodes, grouped by replica, ascending within one.
-        Returns per-packet arrays (replica index, source, destination,
-        global path id) covering every decoded draw — including
-        self-addressed ones (``dst == src``), which the caller filters
-        out exactly like the reference's ``continue`` — and the number
-        of block draws each replica really consumed.
+        ``inject`` lists the injecting entries of the launch's flat
+        ``(replica, node)`` grid, ``row_keys``/``self_pairs`` their
+        traffic rows ``r`` as search keys and their self-pair keys.  A
+        destination search lands on the pair key ``r * n + d`` itself,
+        a path search on the path id.  Self-addressed draws are dropped,
+        like the reference's ``continue``.
         """
-        n = self.num_nodes
-        consumed = np.zeros(draws.shape[0], dtype=np.int64)
-        m_total = srcs.size
-        if m_total == 0:
-            empty = np.zeros(0, np.int64)
-            return empty, empty, empty, empty, consumed
-        # Index of each injector's replica-segment start.
-        head = np.empty(m_total, dtype=bool)
-        head[0] = True
-        head[1:] = rep_idx[1:] != rep_idx[:-1]
-        seg_start = np.flatnonzero(head)
-        start_of = seg_start[np.cumsum(head) - 1]
-        flat = draws.reshape(-1)
-        block = rep_idx * draws.shape[1] + n
-
-        rows = rep_table[rep_idx] * n + srcs
-        cum_rows = self._cum_traffic[rows]
-        pair_row = rows * n
-        # g counts each injector's draws: 2 iff its pair is multi-path
-        # (self-pairs have one path, so they count 1).  Draw positions
-        # depend only on *predecessor* counts, so the iteration
-        # converges once the counts stabilize.
-        g = self._guess[rows]
-        for _ in range(m_total + 1):
-            p_excl = np.cumsum(g) - g
-            p_local = p_excl - p_excl[start_of]
-            u1 = flat[block + p_local]
-            dsts = np.count_nonzero(cum_rows < u1[:, None], axis=1)
-            keys = pair_row + dsts
-            npaths = self._npaths[keys]
-            if npaths.min() < 0:
-                self._ensure_pairs(keys)
-                npaths = self._npaths[keys]
-            g_new = 1 + (npaths > 1)
-            if not (g_new != g).any():
-                break
-            g = g_new
-        else:  # pragma: no cover - the fixpoint provably converges
-            raise AssertionError("injection decode did not converge")
-
-        # Path choice for multi-path pairs (one more uniform each).
-        pidx = np.zeros(m_total, dtype=np.int64)
-        multi = g == 2
-        if multi.any():
-            u2 = flat[(block + p_local + 1)[multi]]
-            pidx[multi] = (
-                self._cdf[keys[multi]] <= u2[:, None]
-            ).sum(axis=1)
-
-        consumed[rep_idx[seg_start]] = np.add.reduceat(g, seg_start)
-        gpid = np.where(
-            dsts != srcs, self._pair_base[keys] + pidx, -1
+        rep_idx, srcs = np.divmod(inject, self.num_nodes)
+        bits = counter_bits(stream[rep_idx, None], draw_index[srcs])
+        pairs = np.searchsorted(self._dest_keys, row_keys | bits[:, 0])
+        enter = pairs != self_pairs
+        pairs = pairs[enter]
+        self._ensure_pairs(pairs)
+        query = (self._pair_base[pairs].astype(np.uint64) << _ROW_SHIFT) | (
+            bits[enter, 1]
         )
-        return rep_idx, srcs, dsts, gpid, consumed
+        return rep_idx[enter], np.searchsorted(self._path_keys, query, "right")
 
     # ------------------------------------------------------------------
     # Batched cycle loop
@@ -497,7 +492,7 @@ class VectorizedSimulator:
         """Run every replica in one batched cycle loop.
 
         Each replica is an independent copy of the reference process —
-        fresh ``default_rng(seed)``, its own queues, and its *own*
+        its seed's counter stream, its own queues, and its *own*
         ``dead``/``down`` channel masks, so replicas may carry different
         fault and link schedules in the same launch, and route on
         different tables of a :meth:`stack`.  The replicas share each
@@ -507,8 +502,9 @@ class VectorizedSimulator:
         queued packets and later arrivals on a dead channel are counted
         in its ``lost``); its ``link_schedule`` toggles per-channel
         service on and off losslessly (the rotor semantics — down
-        channels hold their queues).  Both are RNG-free, so the
-        draw-for-draw contract with individual runs is untouched.
+        channels hold their queues).  Both are RNG-free, and a
+        replica's uniforms depend on nothing but its seed, so it
+        matches its individual run whatever shares its launch.
         """
         replicas = _as_replicas(replicas)
         if warmup >= cycles:
@@ -535,15 +531,17 @@ class VectorizedSimulator:
         )
         integral = bool(self._bw_integral[bw_index].all())
         cap = queue_capacity
-        rngs = [np.random.default_rng(rep.seed) for rep in replicas]
-        rate_arr = np.asarray([rep.injection_rate for rep in replicas])
-        # Each cycle every replica draws its n mask uniforms plus 2 n
-        # for injections in one call, then steps its generator back over
-        # the block draws it did not consume, so the next cycle's draws
-        # stay stream-aligned with the reference.  A ``default_rng``
-        # (PCG64) double is one generator step, and advancing by
-        # 2**128 - k steps back by k.
-        draws = np.empty((num_reps, 3 * n))
+        seeds = np.asarray([rep.seed for rep in replicas], dtype=np.uint64)
+        rate_arr = np.asarray([rep.injection_rate for rep in replicas])[:, None]
+        # Counter indices of each node's draws, and per entry of the flat
+        # (replica, node) grid its traffic row r = table * n + node, as a
+        # search key and as the self-pair key r * n + node.
+        nodes = np.arange(n)
+        mask_index = counter_index(nodes, SLOT_MASK)
+        draw_index = counter_index(nodes[:, None], (SLOT_DEST, SLOT_PATH))
+        grid_rows = (rep_table[:, None] * n + nodes).ravel()
+        grid_row_keys = grid_rows.astype(np.uint64) << _ROW_SHIFT
+        grid_self_pairs = grid_rows * n + np.tile(nodes, num_reps)
 
         # Schedules index the *flattened* (replica, channel) queue space,
         # so one pair of masks carries every replica's channel state.
@@ -568,7 +566,6 @@ class VectorizedSimulator:
 
         packets = np.zeros((0, _NUM_COLS), dtype=np.int64)
         occ = np.zeros(nq, dtype=np.int64)
-        seq_counter = 0
         injected = np.zeros(num_reps, dtype=np.int64)
         delivered = np.zeros(num_reps, dtype=np.int64)
         measured = np.zeros(num_reps, dtype=np.int64)
@@ -606,19 +603,22 @@ class VectorizedSimulator:
                 )
 
             # -- phase 1: injection -------------------------------------
-            for rng, row in zip(rngs, draws):
-                rng.random(out=row)
-            rep_idx, srcs = np.nonzero(draws[:, :n] < rate_arr[:, None])
-            seg_id, srcs, dsts, gpid, consumed = self._decode_injections(
-                draws, rep_idx, srcs, rep_table
+            if cycle % _KEY_BLOCK == 0:
+                streams = stream_keys(
+                    seeds, np.arange(cycle, cycle + _KEY_BLOCK)[:, None]
+                )
+            stream = streams[cycle % _KEY_BLOCK]
+            inject = np.flatnonzero(
+                counter_uniforms(stream[:, None], mask_index) < rate_arr
             )
-            for rng, unused in zip(rngs, (2 * n - consumed).tolist()):
-                if unused:
-                    rng.bit_generator.advance(_PCG64_PERIOD - unused)
-            sel = dsts != srcs
-            if sel.any():
-                p_rep = seg_id[sel]
-                p_gpid = gpid[sel]
+            p_rep, p_gpid = self._decode_injections(
+                stream,
+                inject,
+                grid_row_keys[inject],
+                grid_self_pairs[inject],
+                draw_index,
+            )
+            if p_rep.size:
                 injected += np.bincount(p_rep, minlength=num_reps)
                 pos = self._path_start[p_gpid]
                 plen = self._path_len[p_gpid]
@@ -647,8 +647,6 @@ class VectorizedSimulator:
                     block = np.empty((count, _NUM_COLS), dtype=np.int64)
                     block[:, _REP] = p_rep
                     block[:, _QKEY] = qkey
-                    block[:, _SEQ] = seq_counter + np.arange(count)
-                    seq_counter += count
                     block[:, _POS] = pos
                     block[:, _END] = pos + plen
                     block[:, _ITIME] = cycle
@@ -677,7 +675,7 @@ class VectorizedSimulator:
             else:
                 bw_cycle = bw_by_queue
             qkey = packets[:, _QKEY]
-            popped = _pop_selection(qkey, packets[:, _SEQ], bw_cycle)
+            popped = _pop_selection(qkey, bw_cycle)
             if popped.size == 0:
                 continue
             occ -= np.bincount(qkey[popped], minlength=nq)
@@ -706,8 +704,6 @@ class VectorizedSimulator:
                     )
 
             movers = popped[~done]
-            drop_idx = np.zeros(0, dtype=np.int64)
-            lost_idx = np.zeros(0, dtype=np.int64)
             if movers.size:
                 packets[movers, _POS] = new_pos[~done]
                 m_qkey = (
@@ -718,38 +714,28 @@ class VectorizedSimulator:
                 if m_dead.any():
                     # Dead next hop loses the packet before the
                     # capacity ranking — it never contends for a slot.
-                    lost_idx = movers[m_dead]
                     lost += np.bincount(
-                        packets[lost_idx, _REP], minlength=num_reps
+                        packets[movers[m_dead], _REP], minlength=num_reps
                     )
                     movers = movers[~m_dead]
                     m_qkey = m_qkey[~m_dead]
-                keep = np.ones(movers.size, dtype=bool)
                 if cap is not None and movers.size:
                     # Arrival order per queue decides who fills the
                     # remaining capacity, exactly as the reference's
                     # sequential appends do.
                     keep = _arrival_keep(m_qkey, occ, cap)
-                    drop_idx = movers[~keep]
-                    if drop_idx.size:
-                        dropped += np.bincount(
-                            packets[drop_idx, _REP], minlength=num_reps
-                        )
-                kept = movers[keep]
-                if kept.size:
-                    packets[kept, _QKEY] = m_qkey[keep]
-                    packets[kept, _SEQ] = seq_counter + np.arange(kept.size)
-                    seq_counter += kept.size
-                    occ += np.bincount(
-                        m_qkey[keep], minlength=nq
+                    dropped += np.bincount(
+                        packets[movers[~keep], _REP], minlength=num_reps
                     )
+                    movers, m_qkey = movers[keep], m_qkey[keep]
+                packets[movers, _QKEY] = m_qkey
+                occ += np.bincount(m_qkey, minlength=nq)
 
-            if ejected.size or drop_idx.size or lost_idx.size:
-                keep_mask = np.ones(size, dtype=bool)
-                keep_mask[ejected] = False
-                keep_mask[drop_idx] = False
-                keep_mask[lost_idx] = False
-                packets = packets[keep_mask]
+            # Every popped packet leaves its row; forwarded ones rejoin
+            # at the end in arrival order, keeping rows in enqueue order.
+            stay = np.ones(size, dtype=bool)
+            stay[popped] = False
+            packets = np.concatenate([packets[stay], packets[movers]])
 
         # -- results --------------------------------------------------
         backlog = np.bincount(packets[:, _REP], minlength=num_reps)

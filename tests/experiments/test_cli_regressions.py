@@ -110,6 +110,14 @@ class TestCsvOutputPaths:
         assert (out / "sim.csv").exists()
 
 
+@pytest.mark.parametrize("name", ["fig1", "fig5", "fig6", "headline"])
+def test_figure_title_names_the_run_torus(name, capsys):
+    assert main(["run", name, "--k", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "(4-ary 2-cube)" in out.splitlines()[0]
+    assert "8-ary" not in out
+
+
 class TestCacheAndMetricsFlags:
     def test_second_run_is_all_cache_hits(self, tmp_path, capsys):
         metrics = tmp_path / "m" / "metrics.csv"

@@ -118,6 +118,44 @@ class TestEngineFaultWC:
         assert result.load == pytest.approx(expected)
 
 
+class TestBaseRoutingMemo:
+    @staticmethod
+    def _sweep_tasks():
+        return [
+            DesignTask(kind="fault_wc", k=3, spec=FaultSpec(alg, f))
+            for f in [(), (2,), (2, 5)]
+            for alg in FAULT_ALGORITHMS
+        ]
+
+    def test_plain_bases_built_once_per_sweep(self, engine, monkeypatch):
+        built = []
+        for name, cls in list(faults._PLAIN_ALGORITHMS.items()):
+            monkeypatch.setitem(
+                faults._PLAIN_ALGORITHMS,
+                name,
+                lambda torus, cls=cls: built.append(cls) or cls(torus),
+            )
+        faults._plain_base.cache_clear()
+        engine.run(self._sweep_tasks())
+        # Three fault sets per algorithm, one build each.
+        assert len(built) == len(faults._PLAIN_ALGORITHMS)
+        # run() releases the bases once its tasks are done.
+        monkeypatch.setenv("REPRO_FAST", "1")
+        faults.run(k=3, seed=7, engine=engine, failures=1, cycles=300)
+        assert faults._plain_base.cache_info().currsize == 0
+
+    def test_pooled_results_equal_serial(self, tmp_path):
+        tasks = self._sweep_tasks()
+        faults._plain_base.cache_clear()
+        serial = Engine(jobs=1, cache=DesignCache(tmp_path / "a")).run(tasks)
+        pooled = Engine(jobs=2, cache=DesignCache(tmp_path / "b")).run(tasks)
+        for a, b in zip(serial, pooled):
+            assert a.load == b.load
+            assert a.avg_path_length == b.avg_path_length
+            assert a.model_stats == b.model_stats
+            assert a.doc["wc_channel"] == b.doc["wc_channel"]
+
+
 class TestFaultsExperiment:
     def test_fast_sweep_shape(self, engine, monkeypatch):
         monkeypatch.setenv("REPRO_FAST", "1")

@@ -1,10 +1,9 @@
 """Golden rows of the fault sweep, and its pooled-launch trace contract.
 
 ``results/golden/faults_k4_f2_c500.json`` holds ``faults.run`` rows for
-three seeds as recorded when every case bracketed in its own launches.
-Pooling all cases' brackets into shared multi-table launches must not
-move a single bit of them: the simulator replays each replica's RNG
-stream draw for draw whatever else shares its launch.
+three seeds.  Pooling all cases' brackets into shared multi-table
+launches must not move a single bit of them: a replica's uniforms depend
+on its own seed only, whatever else shares its launch.
 """
 
 import json

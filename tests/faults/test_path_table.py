@@ -236,7 +236,9 @@ def test_lost_commodity_leaves_the_others_routable(bases):
     traffic = np.zeros((n, n))
     traffic[tuple(np.asarray(pairs).T)] = 1.0
     sim = VectorizedSimulator(routing, traffic)
-    assert (sim._npaths[[s * n + d for s, d in pairs]] == 1).all()
+    # Every pair compiled, each to its one DOR path.
+    assert (sim._pair_base[[s * n + d for s, d in pairs]] >= 0).all()
+    assert sim._path_len.size == len(pairs)
     first = min(set(shifts[blocked[0]]) & set(lost))
     traffic = np.zeros((n, n))
     traffic[tuple(np.asarray(shifts[blocked[0]]).T)] = 1.0

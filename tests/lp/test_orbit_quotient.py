@@ -138,7 +138,7 @@ class TestInvarianceCheck:
     def test_exact_comparison_backs_up_the_hashes(self, monkeypatch):
         # With every row hash equal, only the exact comparison can tell
         # that the swap does not carry the row onto a row of the model.
-        monkeypatch.setattr(quotient, "_mix", lambda z: z & np.uint64(0))
+        monkeypatch.setattr(quotient, "splitmix64", lambda z: z & np.uint64(0))
         m = LinearModel()
         x = m.add_variables("x", 2)
         m.add_ge(x.indices(), [1.0, 2.0], 1.0)

@@ -93,8 +93,8 @@ def assert_results_identical(a, b):
 def assert_counts_equal(a, b):
     """Exact agreement on every packet count and derived count ratio.
 
-    This is the hard differential bar: the two backends consume the
-    same RNG stream, so delivered/injected/dropped/backlog/queue-peak
+    This is the hard differential bar: the two backends read the
+    same counter-based uniforms, so delivered/injected/dropped/backlog/queue-peak
     and the accepted rate must match exactly, not approximately.
     """
     assert a.injected == b.injected

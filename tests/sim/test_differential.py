@@ -1,7 +1,7 @@
 """Differential equivalence: vectorized kernel vs. reference simulator.
 
-The vectorized backend replays the reference's exact stochastic process
-(same seeded RNG stream, same deterministic arbitration), so for any
+The vectorized backend runs the reference's exact stochastic process
+(same counter-based uniforms, same deterministic arbitration), so for any
 seed/topology/traffic/rate the two must agree *exactly* on every packet
 count and accepted-throughput ratio; latency statistics are compared
 within a tight relative tolerance (the delivered packets — and hence
@@ -80,8 +80,8 @@ class TestBackendEquivalence:
 class TestBatchedSweep:
     def test_sweep_matches_individual_runs(self, make_sim_case):
         # The batched multi-rate loop must be a pure repackaging: each
-        # rate's replica consumes its own RNG stream exactly as a
-        # standalone run does.
+        # rate's replica reads its own uniforms exactly as a standalone
+        # run does.
         _, alg, traffic = make_sim_case(4, "IVAL", "uniform")
         rates = [0.1, 0.4, 0.7, 1.0]
         batched = sweep_vectorized(

@@ -3,7 +3,7 @@
 Heterogeneous tori (half-rate Z links) hand the simulator non-integer
 bandwidths; both backends discretize them with the shared deterministic
 token bucket (:func:`repro.sim.network_sim.service_budgets`) so they
-stay draw-for-draw identical.
+stay count-identical.
 """
 
 import numpy as np

@@ -12,48 +12,49 @@ import pytest
 from repro.faults import FaultSet, degrade, degrade_routing, random_faults
 from repro.routing import VAL, design_2turn
 from repro.routing.paths import path_channels
-from repro.sim.vectorized import VectorizedSimulator
+from repro.sim.vectorized import VectorizedSimulator, choice_cdfs
 from repro.topology import Torus
 from repro.traffic import uniform
+from tests.sim.conftest import SIM_ALGORITHMS
+
+
+def _per_pair_cdf(weights) -> np.ndarray:
+    """The reference simulator's choice-CDF chain for one pair."""
+    probs = np.asarray(weights)
+    probs = probs / probs.sum()
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def _per_pair_compile(algorithm, traffic):
-    """``(chan_flat, path_start, path_len, npaths, pair_base, cdf)`` built
+    """``(chan_flat, path_start, path_len, pair_base, path_keys)`` built
     pair by pair, path by path."""
     net = algorithm.network
     n = net.num_nodes
-    npaths = np.full(n * n, -1, dtype=np.int64)
-    npaths[np.arange(n) * (n + 1)] = 1
     pair_base = np.full(n * n, -1, dtype=np.int64)
-    starts, lens, chans, cdfs = [], [], [], {}
+    starts, lens, chans, keys = [], [], [], []
     for s, d in np.argwhere(traffic > 0.0):
         s, d = int(s), int(d)
         if s == d:
             continue
         dist = algorithm.path_distribution(s, d)
         pair_base[s * n + d] = len(lens)
-        npaths[s * n + d] = len(dist)
         for path, _ in dist:
             hops = path_channels(net, path)
             starts.append(len(chans))
             lens.append(len(hops))
             chans.extend(hops)
-        probs = np.asarray([w for _, w in dist])
-        probs = probs / probs.sum()
-        cdf = probs.cumsum()
-        cdf /= cdf[-1]
-        cdfs[s * n + d] = cdf
-    width = max(len(c) for c in cdfs.values())
-    cdf_table = np.full((n * n, width), np.inf)
-    for key, cdf in cdfs.items():
-        cdf_table[key, : len(cdf)] = cdf
+        # A path's key: its pair's first path id above the 32-bit cut
+        # of its CDF entry.
+        cuts = np.floor(_per_pair_cdf([w for _, w in dist]) * 2.0**32)
+        keys.extend((int(pair_base[s * n + d]) << 33) | int(c) for c in cuts)
     return (
         np.asarray(chans, dtype=np.int32),
         np.asarray(starts, dtype=np.int32),
         np.asarray(lens, dtype=np.int32),
-        npaths,
         pair_base,
-        cdf_table,
+        np.asarray(keys, dtype=np.uint64),
     )
 
 
@@ -80,17 +81,42 @@ def test_compile_matches_per_pair_construction(t4, case):
     algorithm = _cases(t4)[case]
     traffic = uniform(t4.num_nodes)
     sim = VectorizedSimulator(algorithm, traffic)
-    chans, starts, lens, npaths, pair_base, cdf = _per_pair_compile(
+    chans, starts, lens, pair_base, keys = _per_pair_compile(
         algorithm, traffic
     )
     for name, expected in (
         ("_chan_flat", chans),
         ("_path_start", starts),
         ("_path_len", lens),
-        ("_npaths", npaths),
         ("_pair_base", pair_base),
-        ("_cdf", cdf),
+        ("_path_keys", keys),
     ):
         got = getattr(sim, name)
         assert got.dtype == expected.dtype, name
         assert np.array_equal(got, expected), name
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize(
+    "name", sorted(SIM_ALGORITHMS) + ["DOR+faults", "VAL+faults"]
+)
+def test_choice_cdfs_match_per_pair_chain(make_sim_case, k, name):
+    # Every routing of the sim fixtures, plus degraded ones whose pairs
+    # carry spliced detour paths: the padded block build equals the
+    # per-pair chain bit for bit on every routable pair.
+    torus, algorithm, _ = make_sim_case(k, name.split("+")[0])
+    if name.endswith("+faults"):
+        faults = random_faults(torus, np.random.default_rng(k), 2)
+        algorithm = degrade_routing(algorithm, degrade(torus, faults))
+    n = torus.num_nodes
+    table = algorithm.path_table()
+    pairs = np.flatnonzero(table.row_counts)
+    pairs = pairs[pairs % (n + 1) != 0]  # self-pairs never draw a path
+    paths = table.take_rows(pairs)
+    got = choice_cdfs(paths.prob, paths.row_ptr)
+    assert got.shape == (pairs.size, int(paths.row_counts.max()))
+    for row, pair in enumerate(pairs.tolist()):
+        dist = algorithm.path_distribution(pair // n, pair % n)
+        want = _per_pair_cdf([w for _, w in dist])
+        assert np.array_equal(got[row, : want.size], want), pair
+        assert np.isinf(got[row, want.size :]).all(), pair

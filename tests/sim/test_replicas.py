@@ -2,7 +2,7 @@
 
 The batched kernel's correctness spine: a batch of mixed
 ``(injection_rate, seed, fault_schedule, link_schedule)`` replicas must
-be draw-for-draw identical to running each replica as an individual
+be identical to running each replica as an individual
 ``simulate`` call — every packet count exactly, latency within float
 summation tolerance.  Launches that stack several compiled path tables
 (different algorithms, traffic matrices and degraded networks) must
@@ -322,10 +322,11 @@ class TestStackedTables:
         s, d = 0, 10  # offset (2, 2): four DOR paths, no tornado traffic
         assert mixed_tables[2][1][s, d] == 0.0
         key = n * n + s * n + d
-        assert sim._npaths[key] < 0
+        assert sim._pair_base[key] < 0
         sim._ensure_pairs(np.asarray([key]))
         dist = alg.path_distribution(s, d)
-        assert sim._npaths[key] == len(dist) == 4
+        # The pair's paths are the last ones compiled.
+        assert sim._path_len.size - sim._pair_base[key] == len(dist) == 4
         for j, (path, _) in enumerate(dist):
             start = sim._path_start[sim._pair_base[key] + j]
             length = sim._path_len[sim._pair_base[key] + j]
@@ -333,9 +334,9 @@ class TestStackedTables:
                 path_channels(alg.network, path)
             )
         # The other table's entry for the same pair is untouched.
-        assert sim._npaths[s * n + d] == compiled_simulator(
+        assert sim._pair_base[s * n + d] == compiled_simulator(
             *mixed_tables[0]
-        )._npaths[s * n + d]
+        )._pair_base[s * n + d]
 
 
 class TestStackedProperty:

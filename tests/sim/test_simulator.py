@@ -126,7 +126,12 @@ class TestSaturation:
         analytic = 1.0 / canonical_max_load(
             t4, TranslationGroup(t4), val.canonical_flows, lam
         )
-        est = saturation_throughput(val, lam, cycles=2500, warmup=800)
+        # A majority verdict over five seeds: a single seed's bracket
+        # sits below 0.9 for 2 of 12 seeds (EXPERIMENTS "Counter-based
+        # injection stream"), on either injection stream.
+        est = saturation_throughput(
+            val, lam, cycles=2500, warmup=800, seeds=range(5)
+        )
         if analytic >= 1.0:
             assert est.lower >= 0.9
         else:
