@@ -47,7 +47,11 @@ from repro.constants import (
     SOLVER_DUST,
 )
 from repro.core.flows import CanonicalFlowProblem
-from repro.topology.symmetry import TranslationGroup
+from repro.topology.symmetry import (
+    TranslationGroup,
+    stabilizer_maps,
+    symmetrize_canonical_flows,
+)
 from repro.topology.torus import Torus
 
 __all__ = [
@@ -127,8 +131,10 @@ class ColGenStats:
     most :data:`repro.constants.COLGEN_VIOLATION_TOL`, which is the
     machine-checkable optimality certificate
     (:func:`repro.verify.colgen.certify_colgen_design` re-derives it).
-    ``rows_generated`` counts only oracle-separated rows, excluding the
-    ``seeded_rows`` cyclic-shift adversaries.  ``stage2_locality_bound``
+    ``rows_generated`` counts the rows added for oracle-separated
+    permutations, each with its point-group orbit, and ``seeded_rows``
+    the cyclic-shift adversaries; both count rows of the full master,
+    not of its orbit quotient.  ``stage2_locality_bound``
     is the stage-2 master's locality lower bound when a lexicographic
     solve ran (``None`` otherwise).
     """
@@ -234,6 +240,14 @@ class RestrictedMasterProblem:
     per class (the classic torus adversaries, tornado included), which
     cuts the loop's first iterations; rows are deduplicated so a
     re-separated permutation is never added twice.
+
+    The master is kept invariant under the torus point group
+    (:func:`~repro.topology.symmetry.stabilizer_maps`): :meth:`add_row`
+    adds a row's whole orbit :math:`(g(\\hat c), g \\circ \\pi \\circ
+    g^{-1})`, and the seed set is closed already, so the model declares
+    the group and every solve runs on its orbit quotient, the generated
+    rows appended to it warm.  Its vertices are therefore
+    point-symmetric.
     """
 
     def __init__(
@@ -253,8 +267,10 @@ class RestrictedMasterProblem:
         self.w_col = int(self.w.indices()[0])
         if locality_hops is not None:
             self.prob.add_locality_constraint(locality_hops, locality_sense)
+        self.prob.declare_point_symmetry()
+        self.maps = stabilizer_maps(torus)
         self._keys: set[tuple[int, bytes]] = set()
-        #: generated permutation rows, in insertion order
+        #: permutation rows, seeded then generated, in insertion order
         self.rows: list[tuple[int, np.ndarray]] = []
         self.seeded_rows = self._seed() if seed_rows else 0
 
@@ -263,36 +279,65 @@ class RestrictedMasterProblem:
         return self.prob.model
 
     def _seed(self) -> int:
-        n = self.torus.num_nodes
-        added = 0
-        for rep in map(int, self.torus.class_representatives()):
-            for t in range(1, n):
-                added += self.add_row(rep, self.group.node_sum[:, t])
-        return added
+        # Shift by t maps to shift by g(t) under point map g, so the set
+        # of all shifts per class is closed: no orbit to add.
+        return self._append(
+            (rep, self.group.node_sum[:, t])
+            for rep in map(int, self.torus.class_representatives())
+            for t in range(1, self.torus.num_nodes)
+        )
 
-    def add_row(self, channel: int, permutation: np.ndarray) -> bool:
-        """Append one permutation row; ``False`` if already present."""
-        perm = np.asarray(permutation, dtype=np.int64)
-        key = (int(channel), perm.tobytes())
-        if key in self._keys:
-            return False
-        self._keys.add(key)
+    def add_row(self, channel: int, permutation: np.ndarray) -> int:
+        """Append the point-group orbit of one permutation row; returns
+        how many of its rows were new (0 if all were present)."""
+        return self.add_rows([(channel, permutation)])
+
+    def add_rows(self, rows) -> int:
+        """Append the point-group orbits of ``(channel, permutation)``
+        rows as one batch; returns how many rows were new."""
+        images = []
+        for channel, permutation in rows:
+            perm = np.asarray(permutation, dtype=np.int64)
+            for g in self.maps:
+                # (g∘π∘g⁻¹)(g(s)) = g(π(s))
+                image = np.empty_like(perm)
+                image[g.node_map] = g.node_map[perm]
+                images.append((int(g.channel_map[int(channel)]), image))
+        return self._append(images)
+
+    def _append(self, rows) -> int:
+        """Append the ``(channel, permutation)`` rows not yet present as
+        one batch; returns how many that was."""
+        fresh = []
+        for channel, perm in rows:
+            key = (int(channel), perm.tobytes())
+            if key not in self._keys:
+                self._keys.add(key)
+                fresh.append((int(channel), perm))
+        if not fresh:
+            return 0
         torus, group = self.torus, self.group
         n, ncls = torus.num_nodes, torus.num_classes
+        channels = np.array([c for c, _ in fresh])
+        perms = np.stack([p for _, p in fresh])
         sources = np.arange(n)
-        t = group.node_diff[perm, sources]  # commodity d - s per source
-        node = int(channel) // ncls
-        chan_from_s = group.node_diff[node, sources] * ncls + int(channel) % ncls
-        cols = self.prob.x.index(t, chan_from_s)
-        self.model.add_le(
-            np.concatenate([cols, [self.w_col]]),
-            np.concatenate(
-                [np.ones(n), [-float(torus.bandwidth[int(channel)])]]
-            ),
-            0.0,
+        t = group.node_diff[perms, sources]  # commodity d - s per source
+        node = channels[:, None] // ncls
+        chan_from_s = group.node_diff[node, sources] * ncls + channels[:, None] % ncls
+        cols = np.hstack(
+            [self.prob.x.index(t, chan_from_s), np.full((len(fresh), 1), self.w_col)]
         )
-        self.rows.append((int(channel), perm))
-        return True
+        vals = np.hstack(
+            [np.ones((len(fresh), n)), -torus.bandwidth[channels][:, None]]
+        )
+        self.model.add_le_batch(
+            np.repeat(np.arange(len(fresh)), n + 1),
+            cols.ravel(),
+            vals.ravel(),
+            np.zeros(len(fresh)),
+        )
+        self.rows.extend(fresh)
+        return len(fresh)
 
     def solve(self, solver: str = "highs-ds", attrs: dict | None = None):
         """Solve the current master; returns ``(solution, w, flows)``."""
@@ -345,7 +390,6 @@ def _stage_loop(
     limit: int,
     stage: int,
     anchor: tuple[np.ndarray, float] | None,
-    sym_maps: list,
     cap: float | None = None,
 ):
     """One stabilized cutting-plane stage (Ben-Ameur/Neto in-out).
@@ -358,16 +402,17 @@ def _stage_loop(
     master vertex (a row already in the master cannot be violated
     there, so progress is guaranteed: either a genuinely new row is
     added or the vertex is proven feasible) and tries to improve the
-    anchor with the stabilizer-symmetrized vertex and vertex/anchor
-    midpoint (averaging over the point group never increases the
-    worst-case load).  The stage ends when the anchor objective meets
-    the master bound within ``tol`` or the vertex itself passes
-    separation exactly.
+    anchor with the vertex and the vertex/anchor midpoint.  Both are
+    point-symmetric — the master solves on its orbit quotient and the
+    anchor is symmetrized before the loop — which is what averaging
+    over the point group would give (it never increases the worst-case
+    load).  The stage ends when the anchor objective meets the master
+    bound within ``tol`` or the vertex itself passes separation
+    exactly.
 
     Returns ``(flows, load, objective_bound, iterations)``.
     """
     from repro.metrics.worst_case_eval import separate_worst_case
-    from repro.topology.symmetry import symmetrize_canonical_flows
 
     torus, group = master.torus, master.group
     n = torus.num_nodes
@@ -399,21 +444,22 @@ def _stage_loop(
         sep_m = separate_worst_case(torus, group, x_m, w_m, tol)
         if sep_m.satisfied:
             return x_m, float(sep_m.max_load), obj_m, iteration
-        added = sum(
-            master.add_row(v.channel, v.permutation)
-            for v in sep_m.violations
+        added = master.add_rows(
+            (v.channel, v.permutation) for v in sep_m.violations
         )
-        # Anchor candidates: symmetrized vertex, symmetrized midpoint.
-        candidates = [symmetrize_canonical_flows(torus, x_m, sym_maps)]
+        # Anchor candidates: the vertex, whose load separation just
+        # measured (its rows violated at the anchor's bound, which is at
+        # least w_m, were just added), and the vertex/anchor midpoint.
+        candidates = [(x_m, sep_m)]
         if x_bar is not None:
-            candidates.append(
-                symmetrize_canonical_flows(
-                    torus, 0.5 * (x_m + x_bar), sym_maps
+            candidates.append((0.5 * (x_m + x_bar), None))
+        for z, sep_z in candidates:
+            if sep_z is None:
+                bound_z = cap if stage2 else w_bar
+                sep_z = separate_worst_case(torus, group, z, bound_z, tol)
+                added += master.add_rows(
+                    (v.channel, v.permutation) for v in sep_z.violations
                 )
-            )
-        for z in candidates:
-            bound_z = cap if stage2 else min(w_bar, np.inf)
-            sep_z = separate_worst_case(torus, group, z, bound_z, tol)
             load_z = float(sep_z.max_load)
             if stage2:
                 # Anchor must respect the stage-2 load cap; among the
@@ -425,8 +471,6 @@ def _stage_loop(
                     x_bar, w_bar = z, load_z
             elif x_bar is None or load_z < w_bar:
                 x_bar, w_bar = z, load_z
-            for v in sep_z.violations:
-                added += master.add_row(v.channel, v.permutation)
         if added == 0:
             # Cannot happen while the vertex fails separation (its
             # violated rows are provably absent from the master), so
@@ -474,9 +518,7 @@ def _design_colgen(
     if limit < 1:
         raise ValueError(f"max_iterations must be >= 1, got {limit}")
     from repro.metrics.worst_case_eval import separate_worst_case
-    from repro.topology.symmetry import stabilizer_maps
 
-    sym_maps = stabilizer_maps(torus)
     master = RestrictedMasterProblem(
         torus, group, locality_hops, locality_sense
     )
@@ -491,14 +533,16 @@ def _design_colgen(
         for flows in _heuristic_anchor_flows(
             torus, locality_hops, locality_sense
         ):
+            # The VAL/DOR blend is not point-symmetric; the loop's other
+            # candidates are, so symmetrize it once here.
+            flows = symmetrize_canonical_flows(torus, flows, master.maps)
             load = float(
                 separate_worst_case(torus, group, flows, np.inf, tol).max_load
             )
             if anchor is None or load < anchor[1]:
                 anchor = (flows, load)
         flows, wc_load, lower_bound, iters1 = _stage_loop(
-            master, solver, tol, limit, stage=1, anchor=anchor,
-            sym_maps=sym_maps,
+            master, solver, tol, limit, stage=1, anchor=anchor
         )
         iters2 = 0
         locality_bound = None
@@ -509,7 +553,7 @@ def _design_colgen(
             master.model.set_objective(cols, vals)
             flows, wc_load, locality_bound, iters2 = _stage_loop(
                 master, solver, tol, limit, stage=2,
-                anchor=(flows, wc_load), sym_maps=sym_maps, cap=cap,
+                anchor=(flows, wc_load), cap=cap,
             )
         # Return clipped flows with their exact oracle load so the
         # design is self-consistent (mirrors the full path's Hungarian

@@ -46,7 +46,7 @@ class DesignScalePoint:
     theta_wc: float
     solve_seconds: float
     iterations: int  # colgen master solves (0 for the full LP)
-    rows_generated: int  # oracle-separated rows (0 for the full LP)
+    rows_generated: int  # full-master rows the oracle added (0 for the full LP)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -252,10 +252,12 @@ class LinearModel:
         ``g``; variables added later are fixed by every map.  Each solve
         that loads the model checks that every map carries the objective,
         the bounds and the rows with their rhs onto themselves (raising
-        ``ValueError`` otherwise) and passes HiGHS the orbit quotient;
-        appended rows reload it.  For use by formulations that know their
-        model's symmetry — the solution is an optimum of the full model
-        either way.
+        ``ValueError`` otherwise) and passes HiGHS the orbit quotient.
+        ``<=`` rows appended since the last solve must be closed under
+        the maps by themselves: the re-solve checks them the same way and
+        appends their orbits to the held quotient, warm.  For use by
+        formulations that know their model's symmetry — the solution is
+        an optimum of the full model either way.
         """
         maps = np.asarray(column_maps, dtype=np.int64)
         n = self._num_vars
@@ -479,14 +481,19 @@ class LinearModel:
     def _push_changes(self) -> None:
         """Bring the held HiGHS model up to date with new ``<=`` rows and
         objective and bound changes only, keeping its basis (a declared
-        symmetry gets only the quotient's changes, after checking that
-        they keep the model invariant)."""
+        symmetry gets only the quotient's changes — one row per orbit of
+        the new rows — after checking that they keep the model
+        invariant)."""
         held = self._held
         highs = held.highs
         a_new, b_new = self._stack(
             self._ub_batches, self._ub_rhs, first_row=held.ub_rows
         )
         if a_new is not None:
+            if held.orbits is not None:
+                held.orbits, a_new, b_new = held.orbits.append(
+                    self._column_maps(), a_new, b_new
+                )
             highs.addRows(
                 a_new.shape[0],
                 np.full(a_new.shape[0], -np.inf),
@@ -578,13 +585,15 @@ class LinearModel:
         ``method`` values are ignored until then.  Under a declared
         symmetry (:meth:`declare_symmetry`) HiGHS holds the orbit
         quotient instead: the span gains ``orbit_rows``/``orbit_cols``
-        (``rows``/``cols``/``nnz`` stay the full model's), only objective
-        and bound changes re-solve warm, and the returned solution, its
-        duals and the solve observer's certificate are the full model's,
-        lifted from the quotient optimum.  ``attrs`` adds extra
-        attributes to the ``lp.solve`` span — column generation tags every
-        master re-solve with its iteration and generated-row count, so
-        traces show the loop's shape.
+        (``rows``/``cols``/``nnz`` stay the full model's; ``orbit_rows``
+        counts the orbits of appended rows too), appended ``<=`` rows
+        re-solve warm as one quotient row per row orbit (a batch not
+        closed under the maps raises ``ValueError``), and the returned
+        solution, its duals and the solve observer's certificate are the
+        full model's, lifted from the quotient optimum.  ``attrs`` adds
+        extra attributes to the ``lp.solve`` span — column generation
+        tags every master re-solve with its iteration and generated-row
+        count, so traces show the loop's shape.
         """
         if method not in _SOLVERS:
             raise ValueError(
@@ -597,7 +606,6 @@ class LinearModel:
             held is not None
             and held.num_vars == self._num_vars
             and held.eq_rows == self._num_eq_rows
-            and (held.orbits is None or held.first_ub_rows == self._num_ub_rows)
         )
         with obs.span(
             "lp.solve",

@@ -21,6 +21,11 @@ each map (an order-free sum of 64-bit mixes of ``(column key, value)``
 pairs), rows are matched by sorted hash and the match is then confirmed
 by exact comparison, which also yields the row permutations whose
 orbits are the row orbits.
+
+A batch of ``<=`` rows appended after load (column generation's cuts)
+is checked the same way as a section of its own — it must be closed
+under the maps by itself — and adds one quotient row per row orbit
+(:meth:`Orbits.append`), so the held quotient grows in place.
 """
 
 from __future__ import annotations
@@ -151,6 +156,8 @@ class Orbits:
     size: np.ndarray  # column orbit -> column count
     ub: _Section
     eq: _Section
+    keys: np.ndarray  # column -> hash key
+    appended: tuple[_Section, ...] = ()  # <= batches appended since load
 
     @classmethod
     def of(cls, maps: np.ndarray, assembled) -> "Orbits":
@@ -171,11 +178,25 @@ class Orbits:
             size,
             _Section.of(a_ub, b_ub, maps, keys, "<="),
             _Section.of(a_eq, b_eq, maps, keys, "=="),
+            keys,
         )
+
+    def append(self, maps: np.ndarray, a, rhs):
+        """Orbits after appending the ``<=`` rows ``a`` with ``rhs``, and
+        the quotient rows (CSR) and rhs to append to the held model;
+        ``ValueError`` unless every map carries the batch onto itself."""
+        section = _Section.of(a, rhs, maps, self.keys, "<=")
+        grown = dataclasses.replace(self, appended=self.appended + (section,))
+        rows = section.quotient(a, self.col, self.rep.size)
+        return grown, rows, rhs[section.rep]
 
     @property
     def num_rows(self) -> int:
-        return int(self.ub.rep.size + self.eq.rep.size)
+        return int(
+            self.ub.rep.size
+            + self.eq.rep.size
+            + sum(s.rep.size for s in self.appended)
+        )
 
     def columns(self, c, lb, ub):
         """Quotient objective and bounds; ``ValueError`` unless the full
@@ -197,8 +218,15 @@ class Orbits:
 
     def lift(self, x, row_value, row_dual):
         """``(x, ub values, eq values, ub duals, eq duals)`` of the full
-        model from a quotient solution (rows: ``<=`` orbits, then ``==``)."""
+        model from a quotient solution (rows: ``<=`` orbits, ``==``
+        orbits, then each appended batch's orbits)."""
         k = self.ub.rep.size
-        ub_value, ub_dual = self.ub.lift(row_value[:k], row_dual[:k])
-        eq_value, eq_dual = self.eq.lift(row_value[k:], row_dual[k:])
+        e = k + self.eq.rep.size
+        eq_value, eq_dual = self.eq.lift(row_value[k:e], row_dual[k:e])
+        ub = [self.ub.lift(row_value[:k], row_dual[:k])]
+        for section in self.appended:
+            lo, e = e, e + section.rep.size
+            ub.append(section.lift(row_value[lo:e], row_dual[lo:e]))
+        ub_value = np.concatenate([v for v, _ in ub])
+        ub_dual = np.concatenate([d for _, d in ub])
         return x[self.col], ub_value, eq_value, ub_dual, eq_dual

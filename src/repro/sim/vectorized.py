@@ -245,9 +245,23 @@ def _pop_selection(qkey: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     the sorted order, which the cycle loop relies on for deterministic
     downstream processing.
     """
-    order = np.argsort((qkey << _POS_BITS) | np.arange(qkey.size))
-    q_sorted = qkey[order]
+    order, q_sorted = _queue_order(qkey)
     return order[_queue_ranks(q_sorted) < budgets[q_sorted]]
+
+
+def _queue_order(qkey: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, qkey[order])`` for the stable sort of ``qkey``.
+
+    One plain sort of the unique keys ``qkey << _POS_BITS | position``
+    gives the same order as ``argsort(qkey, kind="stable")`` (NumPy's
+    timsort) several times faster, and both outputs unpack from it.
+    """
+    key = qkey << _POS_BITS
+    key |= np.arange(qkey.size)
+    key.sort()
+    q_sorted = key >> _POS_BITS
+    key &= (1 << _POS_BITS) - 1
+    return key, q_sorted
 
 
 def _arrival_keep(qkey: np.ndarray, occ: np.ndarray, cap: int) -> np.ndarray:
@@ -257,8 +271,7 @@ def _arrival_keep(qkey: np.ndarray, occ: np.ndarray, cap: int) -> np.ndarray:
     ``cap - occ[q]`` slots, exactly as the reference's sequential
     appends do — hence the stable sort on the queue key alone.
     """
-    order = np.argsort(qkey, kind="stable")
-    q_sorted = qkey[order]
+    order, q_sorted = _queue_order(qkey)
     keep = np.empty(qkey.shape[0], dtype=bool)
     keep[order] = _queue_ranks(q_sorted) < (cap - occ[q_sorted])
     return keep

@@ -208,8 +208,7 @@ def symmetrize_canonical_flows(
     :func:`stabilizer_maps`), so the average is safe on heterogeneous
     tori: flow is never reflected onto an axis of different bandwidth.
     Pass precomputed ``maps`` to amortize the table construction across
-    repeated calls (the column-generation loop symmetrizes every
-    candidate solution).
+    repeated calls.
     """
     acc = np.zeros_like(flows, dtype=np.float64)
     if maps is None:

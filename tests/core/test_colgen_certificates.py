@@ -73,21 +73,36 @@ class TestGenuineArtifactsPass:
         assert exhaustive and "skipped" in exhaustive[0].detail
 
 
+def _master_without_orbit(torus, group, dropped):
+    """A seedless master holding every cyclic-shift row except the
+    point-group orbit of the ``(channel, shift)`` rows in ``dropped``
+    (the master adds whole orbits, so dropping one row drops its orbit)."""
+    master = RestrictedMasterProblem(torus, group, seed_rows=False)
+    orbit = set()
+    for rep, s in dropped:
+        for g in master.maps:
+            shift = int(g.node_map[s])  # shift s maps to shift g(s)
+            orbit.add((int(g.channel_map[rep]), shift))
+    for rep in map(int, torus.class_representatives()):
+        for s in range(1, torus.num_nodes):
+            if (rep, s) not in orbit:
+                master.add_row(rep, group.node_sum[:, s])
+    held = {(c, perm.tobytes()) for c, perm in master.rows}
+    for rep, s in orbit:
+        assert (rep, group.node_sum[:, s].tobytes()) not in held
+    master.model.set_objective(master.w.indices(), [1.0])
+    return master
+
+
 class TestMutationsFail:
     def test_dropped_row_fails(self, genuine):
-        # Rebuild the master missing one seeded permutation row, take
-        # its optimal vertex as "the design": the oracle re-measure and
-        # the witness replay must both expose the gap.
+        # Rebuild the master missing one seeded permutation row's orbit,
+        # take its optimal vertex as "the design": the oracle re-measure
+        # and the witness replay must both expose the gap.
         torus, _ = genuine
         group = TranslationGroup(torus)
-        reps = list(map(int, torus.class_representatives()))
-        master = RestrictedMasterProblem(torus, group, seed_rows=False)
-        for rep in reps:
-            for s in range(1, torus.num_nodes):
-                if rep == reps[0] and s == 1:
-                    continue  # the dropped row
-                master.add_row(rep, group.node_sum[:, s])
-        master.model.set_objective(master.w.indices(), [1.0])
+        rep = int(torus.class_representatives()[0])
+        master = _master_without_orbit(torus, group, [(rep, 1)])
         _, w, flows = master.solve()
         report = certify_colgen_design(torus, flows, w, lower_bound=w)
         assert not report.passed
@@ -98,15 +113,11 @@ class TestMutationsFail:
     ):
         # A "self-consistent" mutant that honestly re-measures its bad
         # flows passes the oracle check — the duality gap against the
-        # stale master bound is what exposes the missing row.
+        # stale master bound is what exposes the missing rows.
         torus, _ = genuine
         group = TranslationGroup(torus)
-        reps = list(map(int, torus.class_representatives()))
-        master = RestrictedMasterProblem(torus, group, seed_rows=False)
-        for rep in reps[1:]:
-            for s in range(1, torus.num_nodes):
-                master.add_row(rep, group.node_sum[:, s])
-        master.model.set_objective(master.w.indices(), [1.0])
+        rep = int(torus.class_representatives()[0])
+        master = _master_without_orbit(torus, group, [(rep, 1)])
         _, w, flows = master.solve()
         honest = float(
             separate_worst_case(torus, group, flows, np.inf, None).max_load

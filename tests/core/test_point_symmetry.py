@@ -9,8 +9,9 @@ the worst case and 2TURN, on 2-D tori k=3..6, the 3-D 3-ary torus (48
 point maps, declared by 6 generators) and a heterogeneous-bandwidth 3-D
 torus (16 maps, 4 generators); the lexicographic average-case design
 and 2TURNA on a sample closed under the point group, against the full
-model on k=3, 4 and by certificate on the 3-D tori.  Models the point
-group does not fix — hypercube, colgen masters, a model over an
+model on k=3, 4 and by certificate on the 3-D tori.  Column-generation
+masters add each separated row's orbit and solve on the quotient too.
+Models the point group does not fix — hypercube, a model over an
 unclosed sample — solve unreduced.
 """
 
@@ -242,12 +243,13 @@ def test_closed_sample_3d_certificates_valid_against_full_model(name, maps):
     )
 
 
-def test_colgen_masters_and_hypercube_average_case_solve_unreduced():
+def test_hypercube_average_case_unreduced_and_colgen_masters_reduced():
     cube = Hypercube(3)
     sample = sample_traffic_set(np.random.default_rng(3), cube.num_nodes, 3)
     spans = _spans_of(lambda: design_average_case(cube, sample))
-    spans += _spans_of(lambda: design_worst_case(Torus(4, 2), method="colgen"))
     assert spans and not any("orbit_cols" in s for s in spans)
+    spans = _spans_of(lambda: design_worst_case(Torus(4, 2), method="colgen"))
+    assert spans and all("orbit_cols" in s for s in spans)
 
 
 def test_unclosed_sample_keeps_the_full_model():

@@ -84,12 +84,31 @@ class TestQuotientSolve:
         assert sol.objective == pytest.approx(fresh.solve().objective, abs=1e-12)
         assert [a["warm"] for a in _spans("swap-warm")[-2:]] == [False, True]
 
-    def test_appended_rows_reload_and_recheck(self):
+    def test_appended_rows_resolve_warm_and_recheck(self):
+        def add_closed_rows(model, x):
+            # x0 >= 0.4 and its image x1 >= 0.4: one row orbit, binding.
+            model.add_ge([x.index(0)], [1.0], 0.4)
+            model.add_ge([x.index(1)], [1.0], 0.4)
+
         m, x, _ = _swap_model("swap-rows")
         m.solve()
-        m.add_le(x.indices(), [1.0, 1.0], 5.0)  # symmetric: reloads
-        m.solve()
-        assert _spans("swap-rows")[-1]["warm"] is False
+        add_closed_rows(m, x)
+        with collect_certificates(strict=True) as certs:
+            sol = m.solve()
+        assert certs.all_valid and len(certs.certificates) == 1
+        attrs = _spans("swap-rows")[-1]
+        assert attrs["warm"] is True
+        assert (attrs["rows"], attrs["orbit_rows"]) == (6, 4)
+        cold, xc, _ = _swap_model("swap-rows-cold")
+        add_closed_rows(cold, xc)
+        want = cold.solve()
+        assert _spans("swap-rows-cold")[-1]["warm"] is False
+        assert sol.objective == pytest.approx(want.objective, abs=1e-12)
+        assert sol.objective == pytest.approx(0.8 + 3 * (0.8 - 2 / 3) / 3, abs=1e-12)
+        assert np.allclose(sol.x, want.x, atol=1e-12)
+        assert np.allclose(sol.ub_duals, want.ub_duals, atol=1e-12)
+        assert np.allclose(sol.eq_duals, want.eq_duals, atol=1e-12)
+        assert sol.ub_duals[3] == sol.ub_duals[4] != 0.0
         m.add_le([x.index(0)], [1.0], 5.0)  # breaks the swap
         with pytest.raises(ValueError, match="<= rows"):
             m.solve()

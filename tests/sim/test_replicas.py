@@ -372,3 +372,26 @@ def test_compiled_tables_die_with_their_algorithm():
     del alg
     gc.collect()
     assert sim() is None
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    keys=st.lists(st.integers(0, 7), min_size=1, max_size=60),
+    cap=st.integers(1, 4),
+)
+def test_queue_order_is_the_stable_argsort(keys, cap):
+    # Few distinct queue keys, so most keys tie: ties keep row order.
+    from repro.sim.vectorized import _arrival_keep, _queue_order
+
+    qkey = np.asarray(keys, dtype=np.int64)
+    order, q_sorted = _queue_order(qkey)
+    want = np.argsort(qkey, kind="stable")
+    assert np.array_equal(order, want)
+    assert np.array_equal(q_sorted, qkey[want])
+    occ = np.arange(8, dtype=np.int64) % (cap + 1)
+    seen = np.zeros(8, dtype=np.int64)
+    expected = []
+    for q in qkey:  # sequential appends, as the reference simulator does
+        expected.append(occ[q] + seen[q] < cap)
+        seen[q] += 1
+    assert np.array_equal(_arrival_keep(qkey, occ, cap), expected)
