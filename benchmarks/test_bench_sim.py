@@ -17,8 +17,7 @@ import numpy as np
 
 from repro.experiments import sim_validation
 from repro.routing import IVAL
-from repro.sim import SimulationConfig, simulate
-from repro.sim.vectorized import sweep_vectorized
+from repro.sim import SimulationConfig, replica_grid, simulate, simulate_replicas
 from repro.topology import Torus
 from repro.traffic import uniform
 
@@ -63,15 +62,16 @@ def test_backend_speedup(benchmark, sim_backend_record):
     # one-time path-table compile, not a warm per-object cache
     vec_alg = IVAL(torus)
     t0 = time.perf_counter()
-    vec = sweep_vectorized(
-        vec_alg, traffic, rates, cycles=cycles, warmup=warmup, seed=seed
+    replicas = replica_grid(rates, [seed])
+    vec = simulate_replicas(
+        vec_alg, traffic, replicas, cycles=cycles, warmup=warmup
     )
     vec_s = time.perf_counter() - t0
 
     # one more (warm) pass through pytest-benchmark for the report
     benchmark.pedantic(
-        lambda: sweep_vectorized(
-            vec_alg, traffic, rates, cycles=cycles, warmup=warmup, seed=seed
+        lambda: simulate_replicas(
+            vec_alg, traffic, replicas, cycles=cycles, warmup=warmup
         ),
         rounds=1,
         iterations=1,

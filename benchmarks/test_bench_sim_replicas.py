@@ -15,8 +15,13 @@ import time
 import numpy as np
 
 from repro.routing import IVAL
-from repro.sim import SimulationConfig, replica_grid, simulate_replicas
-from repro.sim.vectorized import compiled_simulator, simulate_vectorized
+from repro.sim import (
+    SimulationConfig,
+    replica_grid,
+    simulate,
+    simulate_replicas,
+)
+from repro.sim.vectorized import compiled_simulator
 from repro.topology import Torus
 from repro.traffic import uniform
 
@@ -36,7 +41,7 @@ def test_replica_batch_speedup(benchmark, sim_replicas_record):
 
     t0 = time.perf_counter()
     individual = [
-        simulate_vectorized(
+        simulate(
             alg,
             traffic,
             SimulationConfig(
@@ -45,6 +50,7 @@ def test_replica_batch_speedup(benchmark, sim_replicas_record):
                 injection_rate=rep.injection_rate,
                 seed=rep.seed,
             ),
+            backend="vectorized",
         )
         for rep in replicas
     ]

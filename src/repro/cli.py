@@ -220,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         default=None,
         metavar="FILE",
-        help="append the structured JSONL trace (spans, counters, "
-        "gauges) to FILE; aggregate it with 'obs-report FILE'",
+        help="append the structured JSONL trace (spans and counters) "
+        "to FILE; aggregate it with 'obs-report FILE'",
     )
     run_p.add_argument(
         "--metrics-out",

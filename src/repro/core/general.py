@@ -431,22 +431,20 @@ def design_general_worst_case(
         )
     solver = "highs-ipm" if solver is None else solver
 
-    def build():
-        prob = GeneralFlowProblem(network, name="general-worst-case")
-        w = prob.model.add_variables("w", 1)
-        prob.add_worst_case_constraints(int(w.indices()[0]))
-        if locality_hops is not None:
-            cols, vals = prob.locality_terms()
-            prob.model.add_eq(cols, vals, float(locality_hops))
-        return prob, w
-
-    prob, w = build()
+    prob = GeneralFlowProblem(network, name="general-worst-case")
+    w = prob.model.add_variables("w", 1)
+    prob.add_worst_case_constraints(int(w.indices()[0]))
+    if locality_hops is not None:
+        cols, vals = prob.locality_terms()
+        prob.model.add_eq(cols, vals, float(locality_hops))
     prob.model.set_objective(w.indices(), [1.0])
     sol = prob.model.solve(method=solver)
     wc_load = float(sol[w][0])
 
     if minimize_locality:
-        prob, w = build()
+        # Stage 2 re-solves the stage-1 model in place (cap w, swap the
+        # objective) instead of rebuilding it, as the torus full LP in
+        # repro.core.worst_case does.
         prob.model.set_bounds(
             w, ub=wc_load * (1 + LEXICOGRAPHIC_SLACK) + SOLVER_DUST
         )

@@ -13,7 +13,8 @@ Usage across the stack::
 
 Tracing is in-memory by default (negligible overhead); ``--trace FILE``
 on the CLI (or :func:`configure`) adds a JSON-lines sink, and
-``repro-experiments obs-report FILE`` aggregates one.  See DESIGN.md
+``repro-experiments obs-report FILE`` aggregates one (with one table per
+``*.point`` / ``*.case`` span name).  See DESIGN.md
 ("Observability") for the event schema and determinism guarantees.
 
 Alongside the tracer lives a typed metrics registry
@@ -63,7 +64,6 @@ from repro.obs.trace import (
     configure,
     count,
     current_path,
-    gauge,
     get_tracer,
     span,
 )
@@ -83,7 +83,6 @@ __all__ = [
     "configure_metrics",
     "count",
     "current_path",
-    "gauge",
     "get_logger",
     "get_registry",
     "get_tracer",

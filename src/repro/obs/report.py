@@ -3,8 +3,9 @@
 Reads the JSONL event stream written by :mod:`repro.obs.trace` and
 renders the questions the trace exists to answer: where did the time
 go (span table), what did the solver do (LP size histogram, statuses,
-iterations), did the cache help (hit rate, bytes), and what did the
-simulator measure per rate point.
+iterations), did the cache help (hit rate, bytes), what did the
+simulator measure per rate point, and what did each experiment point
+(any ``*.point`` / ``*.case`` span) record.
 """
 
 from __future__ import annotations
@@ -69,19 +70,16 @@ class TraceReport:
     num_spans: int
     pids: set[int]
     #: span path -> {count, total, cpu, max}
-    span_agg: dict[str, dict[str, float]]
+    by_path: dict[str, dict[str, float]]
     counters: dict[str, float]
-    gauges: dict[str, dict[str, float]]
     #: lp.solve span attrs (rows/cols/nnz/status/iterations/...), in order
     lp_solves: list[dict]
     #: sim span attrs keyed by injection rate, in order
     sim_runs: list[dict]
-    #: faults.case span attrs (failures/algorithm/theta_wc/sat), in order
-    fault_cases: list[dict] = dataclasses.field(default_factory=list)
-    #: topo3d.point span attrs (topology/k/bz) plus span duration, in order
-    topo3d_points: list[dict] = dataclasses.field(default_factory=list)
-    #: rotor.point span attrs (phases/scheme/theta_wc/sat), in order
-    rotor_points: list[dict] = dataclasses.field(default_factory=list)
+    #: point span name -> (attrs, dur) per span, in trace order
+    points: dict[str, list[tuple[dict, float]]] = dataclasses.field(
+        default_factory=dict
+    )
     #: engine.task span attrs of tasks that raised (label/kind/error)
     failed_tasks: list[dict] = dataclasses.field(default_factory=list)
 
@@ -89,7 +87,7 @@ class TraceReport:
     def span_rows(self, top: int | None = None) -> list[tuple]:
         """(path, count, total s, mean s, max s, cpu s) by total desc."""
         items = sorted(
-            self.span_agg.items(), key=lambda kv: -kv[1]["total"]
+            self.by_path.items(), key=lambda kv: -kv[1]["total"]
         )
         if top is not None:
             items = items[:top]
@@ -195,29 +193,10 @@ class TraceReport:
                 _sim_rows(self.sim_runs),
             )
 
-        if self.fault_cases:
+        for name, spans in self.points.items():
             lines.append("")
-            lines.append("Fault sweep (per failure count and algorithm):")
-            lines += _table(
-                ["failures", "algorithm", "reroute", "Theta_wc", "sat_lo", "sat_hi"],
-                _fault_rows(self.fault_cases),
-            )
-
-        if self.topo3d_points:
-            lines.append("")
-            lines.append("3-D topology sweep (per bandwidth point):")
-            lines += _table(
-                ["topology", "k", "bz", "points", "total_s"],
-                _topo3d_rows(self.topo3d_points),
-            )
-
-        if self.rotor_points:
-            lines.append("")
-            lines.append("Rotor sweep (per phase count and scheme):")
-            lines += _table(
-                ["phases", "scheme", "Theta_wc", "sat_lo", "sat_hi"],
-                _rotor_rows(self.rotor_points),
-            )
+            lines.append(f"{name}:")
+            lines += _table(*_point_table(spans))
 
         if self.failed_tasks:
             lines.append("")
@@ -276,61 +255,26 @@ def _sim_rows(sim_runs: Iterable[dict]) -> list[tuple]:
     ]
 
 
-def _fault_rows(fault_cases: Iterable[dict]) -> list[tuple]:
-    rows = []
-    for case in fault_cases:
-        disconnected = bool(case.get("disconnected"))
-        theta = float(case.get("theta_wc", 0.0))
-        rows.append(
-            (
-                int(case.get("failures", 0)),
-                str(case.get("algorithm", "?")),
-                str(case.get("reroute", "?")),
-                "disc." if disconnected else f"{theta:.4f}",
-                f"{float(case.get('sat_lo', 0.0)):.4f}",
-                f"{float(case.get('sat_hi', 0.0)):.4f}",
-            )
-        )
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return rows
+def _cell(value) -> str:
+    return f"{value:.4g}" if isinstance(value, float) else str(value)
 
 
-def _topo3d_rows(points: Iterable[dict]) -> list[tuple]:
-    by_point: dict[tuple, dict[str, float]] = {}
-    for p in points:
-        # Torus points carry (k, dims, bz); the general modes name their
-        # topology explicitly.
-        topology = str(p.get("topology", f"torus{p.get('dims', '?')}d"))
-        key = (topology, int(p.get("k", 0)), float(p.get("bz", 0.0)))
-        row = by_point.setdefault(key, {"points": 0, "total": 0.0})
-        row["points"] += 1
-        row["total"] += float(p.get("dur", 0.0))
-    return [
-        (topology, k, f"{bz:g}", int(row["points"]), f"{row['total']:.3f}")
-        for (topology, k, bz), row in sorted(by_point.items())
+def _point_table(spans: Sequence[tuple[dict, float]]) -> tuple[list, list]:
+    """Headers and rows of one point span's table: its attrs in
+    first-seen order plus ``dur_s``, one row per span in trace order."""
+    columns = list(dict.fromkeys(key for attrs, _ in spans for key in attrs))
+    rows = [
+        [_cell(attrs[c]) if c in attrs else "-" for c in columns]
+        + [_cell(float(dur))]
+        for attrs, dur in spans
     ]
-
-
-def _rotor_rows(points: Iterable[dict]) -> list[tuple]:
-    rows = []
-    for p in points:
-        rows.append(
-            (
-                int(p.get("phases", 0)),
-                str(p.get("scheme", "?")),
-                f"{float(p.get('theta_wc', 0.0)):.4f}",
-                f"{float(p.get('sat_lo', 0.0)):.4f}",
-                f"{float(p.get('sat_hi', 0.0)):.4f}",
-            )
-        )
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return rows
+    return columns + ["dur_s"], rows
 
 
 def sort_events(events: Iterable[dict]) -> list[dict]:
     """Stable timestamp sort: the deterministic aggregation order.
 
-    Span events carry their start time as ``t0``, count/gauge events an
+    Span events carry their start time as ``t0``, count events an
     emission time ``t``.  Under ``--jobs N`` workers append to the trace
     in completion order, so two runs of one workload interleave
     differently; sorting by timestamp (stable, so same-timestamp events
@@ -345,22 +289,27 @@ def sort_events(events: Iterable[dict]) -> list[dict]:
 #: Span names whose attrs describe one simulator run.
 _SIM_SPANS = ("sim.run", "sim.adaptive")
 
+#: Name suffixes of the spans recording one experiment point each; every
+#: such span name gets its own table.
+_POINT_SUFFIXES = (".point", ".case")
+
 
 def aggregate(events: Iterable[dict]) -> TraceReport:
     """Fold a trace's events into a :class:`TraceReport`.
 
     Events are first ordered by timestamp (:func:`sort_events`), so a
     ``--jobs N`` trace renders the same report regardless of worker
-    completion order.
+    completion order.  Events of kinds other than span and count (such
+    as the ``gauge`` lines of older traces) only count toward
+    ``num_events``.
     """
     events = sort_events(events)
     report = TraceReport(
         num_events=0,
         num_spans=0,
         pids=set(),
-        span_agg={},
+        by_path={},
         counters={},
-        gauges={},
         lp_solves=[],
         sim_runs=[],
     )
@@ -371,7 +320,7 @@ def aggregate(events: Iterable[dict]) -> TraceReport:
         kind = ev.get("ev")
         if kind == "span":
             report.num_spans += 1
-            agg = report.span_agg.setdefault(
+            agg = report.by_path.setdefault(
                 ev["path"], {"count": 0, "total": 0.0, "cpu": 0.0, "max": 0.0}
             )
             agg["count"] += 1
@@ -382,28 +331,16 @@ def aggregate(events: Iterable[dict]) -> TraceReport:
                 report.lp_solves.append(dict(ev.get("attrs", {})))
             elif ev.get("name") in _SIM_SPANS:
                 report.sim_runs.append(dict(ev.get("attrs", {})))
-            elif ev.get("name") == "faults.case":
-                report.fault_cases.append(dict(ev.get("attrs", {})))
-            elif ev.get("name") == "topo3d.point":
-                report.topo3d_points.append(
-                    {**ev.get("attrs", {}), "dur": float(ev.get("dur", 0.0))}
+            elif ev.get("name", "").endswith(_POINT_SUFFIXES):
+                report.points.setdefault(ev["name"], []).append(
+                    (dict(ev.get("attrs", {})), float(ev.get("dur", 0.0)))
                 )
-            elif ev.get("name") == "rotor.point":
-                report.rotor_points.append(dict(ev.get("attrs", {})))
             elif ev.get("name") == "engine.task" and "error" in ev.get("attrs", {}):
                 report.failed_tasks.append(dict(ev["attrs"]))
         elif kind == "count":
             report.counters[ev["name"]] = (
                 report.counters.get(ev["name"], 0) + ev["value"]
             )
-        elif kind == "gauge":
-            g = report.gauges.setdefault(
-                ev["name"],
-                {"last": ev["value"], "min": ev["value"], "max": ev["value"]},
-            )
-            g["last"] = ev["value"]
-            g["min"] = min(g["min"], ev["value"])
-            g["max"] = max(g["max"], ev["value"])
     return report
 
 
@@ -414,9 +351,9 @@ def report_from_file(path: str) -> TraceReport:
 
 def profile_table(tracer: Tracer, top: int = 10) -> str:
     """Top-``top`` spans of a live tracer, for ``--profile`` at exit."""
-    if not tracer.span_agg:
-        return "profile: no spans recorded"
     report = aggregate(tracer.events)
+    if not report.by_path:
+        return "profile: no spans recorded"
     lines = [f"Profile (top {top} spans by total wall time):"]
     lines += _table(
         ["path", "count", "total_s", "mean_s", "max_s", "cpu_s"],

@@ -1,4 +1,4 @@
-"""Zero-dependency tracing core: hierarchical spans, counters, gauges.
+"""Zero-dependency tracing core: hierarchical spans and counters.
 
 Everything observable in the stack flows through one :class:`Tracer` as
 a stream of small dict *events*:
@@ -8,12 +8,11 @@ a stream of small dict *events*:
 
 ``{"ev": "count", "name": "cache.hit", "value": 1, "t": ..., "pid": ...}``
 
-``{"ev": "gauge", "name": "sim.queue_peak", "value": 17.0, "t": ..., "pid": ...}``
-
 Span *paths* are slash-joined ancestor chains maintained in a
 ``contextvars`` stack, so nesting survives threads.  Events are buffered
-in-process (and folded into running aggregates) and, when a trace file
-is configured, appended as JSON lines.  The event *set* of a run is
+in-process (counters also keep running totals) and, when a trace file
+is configured, appended as JSON lines; :func:`repro.obs.report.aggregate`
+folds either one into the report's tables.  The event *set* of a run is
 deterministic; only the timing fields (``t0``/``dur``/``cpu``) and
 ``pid`` vary between runs — see DESIGN.md.
 
@@ -114,7 +113,7 @@ _NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """In-process event buffer + running aggregates + optional JSONL sink.
+    """In-process event buffer + counter totals + optional JSONL sink.
 
     Parameters
     ----------
@@ -130,8 +129,6 @@ class Tracer:
         self.trace_path = trace_path
         self.events: list[dict] = []
         self.counters: dict[str, float] = {}
-        self.gauges: dict[str, dict[str, float]] = {}
-        self.span_agg: dict[str, dict[str, float]] = {}
         self._lock = threading.Lock()
         self._owner_pid = os.getpid()
         self._fh: IO[str] | None = None
@@ -157,20 +154,6 @@ class Tracer:
                 "ev": "count",
                 "name": name,
                 "value": value,
-                "t": time.perf_counter(),
-                "pid": os.getpid(),
-            }
-        )
-
-    def gauge(self, name: str, value: float) -> None:
-        """Record an instantaneous value (last/min/max are aggregated)."""
-        if not self.enabled:
-            return
-        self._emit(
-            {
-                "ev": "gauge",
-                "name": name,
-                "value": float(value),
                 "t": time.perf_counter(),
                 "pid": os.getpid(),
             }
@@ -228,33 +211,12 @@ class Tracer:
     def _emit(self, ev: dict) -> dict:
         with self._lock:
             self.events.append(ev)
-            self._aggregate(ev)
+            if ev["ev"] == "count":
+                self.counters[ev["name"]] = (
+                    self.counters.get(ev["name"], 0) + ev["value"]
+                )
             self._write(ev)
         return ev
-
-    def _aggregate(self, ev: dict) -> None:
-        kind = ev["ev"]
-        if kind == "span":
-            agg = self.span_agg.setdefault(
-                ev["path"],
-                {"count": 0, "total": 0.0, "cpu": 0.0, "max": 0.0},
-            )
-            agg["count"] += 1
-            agg["total"] += ev["dur"]
-            agg["cpu"] += ev["cpu"]
-            agg["max"] = max(agg["max"], ev["dur"])
-        elif kind == "count":
-            self.counters[ev["name"]] = (
-                self.counters.get(ev["name"], 0) + ev["value"]
-            )
-        elif kind == "gauge":
-            g = self.gauges.setdefault(
-                ev["name"],
-                {"last": ev["value"], "min": ev["value"], "max": ev["value"]},
-            )
-            g["last"] = ev["value"]
-            g["min"] = min(g["min"], ev["value"])
-            g["max"] = max(g["max"], ev["value"])
 
     def _write(self, ev: dict) -> None:
         if self.trace_path is None or os.getpid() != self._owner_pid:
@@ -302,8 +264,3 @@ def span(name: str, **attrs):
 def count(name: str, value: int | float = 1) -> None:
     """Increment a counter on the global tracer."""
     _TRACER.count(name, value)
-
-
-def gauge(name: str, value: float) -> None:
-    """Record a gauge on the global tracer."""
-    _TRACER.gauge(name, value)

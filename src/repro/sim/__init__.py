@@ -9,6 +9,10 @@ simulator with oblivious path sampling — and is used to validate the
 analytic saturation throughputs empirically: offered loads below
 :math:`\\Theta(R, \\Lambda)` drain, loads above it grow queues without
 bound.
+
+Every vectorized run launches through :func:`simulate_tables`:
+``simulate(..., backend="vectorized")`` is its one-replica case and
+:func:`simulate_replicas` its one-table case.
 """
 
 from repro.sim.packets import Packet
@@ -31,8 +35,6 @@ from repro.sim.vectorized import (
     replica_grid,
     simulate_replicas,
     simulate_tables,
-    simulate_vectorized,
-    sweep_vectorized,
 )
 from repro.sim.adaptive import (
     adaptive_expected_locality,
@@ -61,8 +63,6 @@ __all__ = [
     "simulate",
     "simulate_replicas",
     "simulate_tables",
-    "simulate_vectorized",
-    "sweep_vectorized",
     "Replica",
     "replica_grid",
     "VectorizedSimulator",

@@ -332,13 +332,23 @@ def simulate(
     :class:`SimulationResult` schema and agree exactly on every packet
     count for the same seed.  Each run is one ``sim.run`` trace span
     carrying the measured cycles/deliveries/queue-peak/latency
-    attributes (vectorized runs add ``backend="vectorized"``).
+    attributes.  A vectorized run is the one-replica case of
+    :func:`repro.sim.vectorized.simulate_tables`: its ``sim.run`` (with
+    ``backend="vectorized"``) is the one child of a ``sim.batch`` span.
     """
     _check_backend(backend)
     if backend == "vectorized":
-        from repro.sim.vectorized import simulate_vectorized
+        from repro.sim.vectorized import Replica, simulate_tables
 
-        return simulate_vectorized(algorithm, traffic, config)
+        (result,) = simulate_tables(
+            [(algorithm, traffic)],
+            [Replica.from_config(config)],
+            cycles=config.cycles,
+            warmup=config.warmup,
+            queue_capacity=config.queue_capacity,
+            backend=backend,
+        )
+        return result
     with obs.span(
         "sim.run",
         rate=float(config.injection_rate),
@@ -348,22 +358,28 @@ def simulate(
         t0 = time.perf_counter()
         result = _simulate(algorithm, traffic, config)
         elapsed = time.perf_counter() - t0
-        sp.set(
-            delivered=result.delivered,
-            dropped=result.dropped,
-            lost=result.lost,
-            accepted_rate=result.accepted_rate,
-            backlog=result.backlog,
-            queue_peak=result.queue_peak,
-            stable=result.stable,
-        )
-        if np.isfinite(result.mean_latency):  # NaN is not valid JSON
-            sp.set(
-                mean_latency=result.mean_latency,
-                p99_latency=result.p99_latency,
-            )
+        sp.set(**_span_attrs(result))
     _record_sim_metrics(result, config, elapsed, backend="reference")
     return result
+
+
+def _span_attrs(result: SimulationResult) -> dict:
+    """Measured ``sim.run`` span attributes (both backends use these)."""
+    attrs = dict(
+        delivered=result.delivered,
+        dropped=result.dropped,
+        lost=result.lost,
+        accepted_rate=result.accepted_rate,
+        backlog=result.backlog,
+        queue_peak=result.queue_peak,
+        stable=result.stable,
+    )
+    if np.isfinite(result.mean_latency):  # NaN is not valid JSON
+        attrs.update(
+            mean_latency=result.mean_latency,
+            p99_latency=result.p99_latency,
+        )
+    return attrs
 
 
 def _record_sim_metrics(result, config, elapsed: float, backend: str) -> None:

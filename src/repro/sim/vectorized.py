@@ -73,6 +73,7 @@ from repro.sim.network_sim import (
     SimulationResult,
     _check_backend,
     _record_sim_metrics,
+    _span_attrs,
     check_seed,
     counter_bits,
     counter_index,
@@ -285,7 +286,7 @@ class VectorizedSimulator:
     per-path channel itineraries (sliced from the routing's path table
     into one flat array) and the choice CDF (the reference's exact float
     normalization chain).  The tables are reused across every
-    :meth:`run`/:meth:`run_replicas` call, which is what amortizes setup
+    :meth:`run_replicas` call, which is what amortizes setup
     over a rate sweep, a seed ensemble, or a saturation bisection.
 
     Constructed from one pair, the simulator holds one table;
@@ -785,18 +786,6 @@ class VectorizedSimulator:
             )
         return results
 
-    def run(
-        self, config: SimulationConfig = SimulationConfig()
-    ) -> SimulationResult:
-        """Run one rate point (a single-replica :meth:`run_replicas`)."""
-        (result,) = self.run_replicas(
-            [Replica.from_config(config)],
-            cycles=config.cycles,
-            warmup=config.warmup,
-            queue_capacity=config.queue_capacity,
-        )
-        return result
-
 
 # ----------------------------------------------------------------------
 # Compiled-simulator cache and entry points
@@ -823,24 +812,6 @@ def compiled_simulator(
         sim = VectorizedSimulator(algorithm, traffic)
         per_alg[digest] = sim
     return sim
-
-
-def _span_attrs(result: SimulationResult) -> dict:
-    attrs = dict(
-        delivered=result.delivered,
-        dropped=result.dropped,
-        lost=result.lost,
-        accepted_rate=result.accepted_rate,
-        backlog=result.backlog,
-        queue_peak=result.queue_peak,
-        stable=result.stable,
-    )
-    if np.isfinite(result.mean_latency):  # NaN is not valid JSON
-        attrs.update(
-            mean_latency=result.mean_latency,
-            p99_latency=result.p99_latency,
-        )
-    return attrs
 
 
 def _emit_replica_spans(
@@ -955,69 +926,3 @@ def simulate_replicas(
         queue_capacity=queue_capacity,
         backend=backend,
     )
-
-
-def simulate_vectorized(
-    algorithm: ObliviousRouting,
-    traffic: np.ndarray,
-    config: SimulationConfig = SimulationConfig(),
-) -> SimulationResult:
-    """Vectorized-backend counterpart of :func:`repro.sim.simulate`.
-
-    Emits the same ``sim.run`` span (plus ``backend=...``) so traces and
-    ``obs-report`` rows keep one schema across backends.
-    """
-    with obs.span(
-        "sim.run",
-        rate=float(config.injection_rate),
-        cycles=int(config.cycles),
-        seed=int(config.seed),
-        backend="vectorized",
-    ) as sp:
-        t0 = time.perf_counter()
-        result = compiled_simulator(algorithm, traffic).run(config)
-        elapsed = time.perf_counter() - t0
-        sp.set(**_span_attrs(result))
-    _record_sim_metrics(result, config, elapsed, backend="vectorized")
-    return result
-
-
-def sweep_vectorized(
-    algorithm: ObliviousRouting,
-    traffic: np.ndarray,
-    rates,
-    cycles: int = 2000,
-    warmup: int = 500,
-    seed: int = 0,
-    queue_capacity: int | None = None,
-    fault_schedule: tuple[tuple[int, int], ...] = (),
-    link_schedule: tuple[tuple[int, int, str], ...] = (),
-) -> list[SimulationResult]:
-    """Batched offered-rate sweep (one compiled kernel, all rates).
-
-    The rate axis is the degenerate replica batch where every replica
-    shares one seed and one pair of schedules; see
-    :func:`simulate_replicas` for the general (rate × seed × fault)
-    grid.  Per-rate ``sim.run`` spans are emitted with the sweep's wall
-    time split evenly across rates.
-    """
-    replicas = [
-        Replica(float(r), seed, fault_schedule, link_schedule) for r in rates
-    ]
-    with obs.span(
-        "sim.sweep",
-        points=len(replicas),
-        cycles=int(cycles),
-        seed=int(seed),
-        backend="vectorized",
-    ):
-        start = time.perf_counter()
-        results = compiled_simulator(algorithm, traffic).run_replicas(
-            replicas,
-            cycles=cycles,
-            warmup=warmup,
-            queue_capacity=queue_capacity,
-        )
-        elapsed = time.perf_counter() - start
-        _emit_replica_spans(replicas, results, elapsed, cycles, warmup)
-    return results

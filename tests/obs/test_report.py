@@ -6,15 +6,16 @@ import pytest
 
 from repro import obs
 from repro.cli import main
-from repro.obs.report import aggregate, load_trace, sort_events
+from repro.obs.report import aggregate, load_trace, profile_table, sort_events
+from repro.obs.trace import Tracer
 
 
-def _span(name, path, dur, attrs=None, pid=1):
+def _span(name, path, dur, attrs=None, pid=1, t0=0.0):
     return {
         "ev": "span",
         "name": name,
         "path": path,
-        "t0": 0.0,
+        "t0": t0,
         "dur": dur,
         "cpu": dur,
         "pid": pid,
@@ -74,45 +75,103 @@ class TestAggregate:
         assert report.pids == {1, 2}
         assert "2 processes" in report.render()
 
-    def test_fault_sweep_section(self):
+    def test_no_point_tables_without_point_spans(self):
+        report = aggregate(SYNTHETIC)
+        assert report.points == {}
+        rendered = report.render()
+        assert "dur_s" not in rendered and ".point" not in rendered
+
+
+#: One experiment's point spans per case, as its code emits them (the
+#: topo3d torus/general modes differ in their first attrs; faults.case
+#: sets its bracket late; design_scale.point adds attrs after the solve).
+POINT_SPANS = {
+    "faults.case": [
+        {"failures": 1, "algorithm": "IVAL", "reroute": "detour",
+         "theta_wc": 0.5, "disconnected": False,
+         "sat_lo": 0.88, "sat_hi": 0.94},
+        {"failures": 1, "algorithm": "DOR", "reroute": "renormalize",
+         "theta_wc": 0.0, "disconnected": True,
+         "sat_lo": 0.0, "sat_hi": 0.0},
+    ],
+    "topo3d.point": [
+        {"k": 3, "dims": 3, "bz": 0.5},
+        {"topology": "mesh3d", "k": 3, "bz": 1.0},
+    ],
+    "rotor.point": [
+        {"phases": 1, "scheme": "vlb", "theta_wc": 8.0,
+         "sat_lo": 0.96, "sat_hi": 1.0},
+        {"phases": 2, "scheme": "orn", "theta_wc": 0.5,
+         "sat_lo": 0.9, "sat_hi": 0.95},
+    ],
+    "design_scale.point": [
+        {"k": 4, "nodes": 16, "method": "lp", "load": 1.0},
+        {"k": 6, "nodes": 36, "method": "colgen", "load": 1.5},
+    ],
+}
+
+
+class TestPointTables:
+    @pytest.mark.parametrize("name", sorted(POINT_SPANS))
+    def test_one_table_per_point_span(self, name):
+        first, second = POINT_SPANS[name]
+        # Listed out of order: rows must follow the spans' start times.
         events = SYNTHETIC + [
-            _span("faults.case", "run/faults.case", 0.1,
-                  {"failures": 1, "algorithm": "IVAL",
-                   "reroute": "detour", "theta_wc": 0.5,
-                   "disconnected": False, "sat_lo": 0.88, "sat_hi": 0.94}),
-            _span("faults.case", "run/faults.case", 0.1,
-                  {"failures": 1, "algorithm": "DOR",
-                   "reroute": "renormalize", "theta_wc": 0.0,
-                   "disconnected": True, "sat_lo": 0.0, "sat_hi": 0.0}),
+            _span(name, f"run/{name}", 0.25, second, t0=2.0),
+            _span(name, f"run/{name}", 0.125, first, t0=1.0),
         ]
         report = aggregate(events)
-        assert len(report.fault_cases) == 2
-        rendered = report.render()
-        assert "Fault sweep (per failure count and algorithm):" in rendered
-        assert "disc." in rendered  # disconnected shown instead of a number
-        assert "IVAL" in rendered and "0.8800" in rendered
+        assert report.points[name] == [(first, 0.125), (second, 0.25)]
 
-    def test_no_fault_section_without_fault_cases(self):
-        assert "Fault sweep" not in aggregate(SYNTHETIC).render()
+        lines = report.render().splitlines()
+        title = lines.index(f"{name}:")
+        header, row1, row2 = (lines[title + i].split() for i in (1, 2, 3))
+        columns = list(dict.fromkeys([*first, *second]))
+        assert header == columns + ["dur_s"]
 
-    def test_topo3d_sweep_section(self):
+        def cells(attrs, dur):
+            return [
+                f"{attrs[c]:.4g}" if isinstance(attrs.get(c), float)
+                else str(attrs.get(c, "-"))
+                for c in columns
+            ] + [f"{dur:.4g}"]
+
+        assert row1 == cells(first, 0.125)
+        assert row2 == cells(second, 0.25)
+
+    def test_each_point_name_gets_its_own_table(self):
         events = SYNTHETIC + [
-            _span("topo3d.point", "run/topo3d.point", 0.2,
-                  {"k": 3, "dims": 3, "bz": 0.5, "rate": 0.4}),
-            _span("topo3d.point", "run/topo3d.point", 0.3,
-                  {"k": 3, "dims": 3, "bz": 0.5, "rate": 0.6}),
-            _span("topo3d.point", "run/topo3d.point", 0.1,
-                  {"topology": "mesh3d", "k": 3, "bz": 1.0, "rate": 0.4}),
+            _span(name, f"run/{name}", 0.1, attrs)
+            for name, spans in POINT_SPANS.items()
+            for attrs in spans
         ]
         report = aggregate(events)
-        assert len(report.topo3d_points) == 3
-        rendered = report.render()
-        assert "3-D topology sweep (per bandwidth point):" in rendered
-        # torus points grouped (2 points, 0.5s total); mesh3d named as-is
-        assert "torus3d" in rendered and "mesh3d" in rendered
+        assert list(report.points) == list(POINT_SPANS)
+        lines = report.render().splitlines()
+        for name in POINT_SPANS:
+            assert lines.count(f"{name}:") == 1
 
-    def test_no_topo3d_section_without_points(self):
-        assert "3-D topology sweep" not in aggregate(SYNTHETIC).render()
+    def test_names_without_point_suffix_get_no_table(self):
+        events = SYNTHETIC + [
+            _span("faults.sweep", "run/faults.sweep", 0.1, {"k": 4}),
+            _span("pointy", "run/pointy", 0.1, {"k": 4}),
+        ]
+        assert aggregate(events).points == {}
+
+
+class TestProfileTable:
+    def test_folds_the_live_tracer_events(self):
+        tracer = Tracer()
+        assert profile_table(tracer) == "profile: no spans recorded"
+        tracer.count("cache.hit")
+        assert profile_table(tracer) == "profile: no spans recorded"
+        with tracer.span("outer"):
+            with tracer.span("inner"):
+                pass
+        lines = profile_table(tracer, top=1).splitlines()
+        assert lines[0] == "Profile (top 1 spans by total wall time):"
+        assert lines[1].split()[0] == "path"
+        assert [line.split()[0] for line in lines[2:]] == ["outer"]
 
 
 class TestSortEvents:
@@ -158,6 +217,24 @@ class TestLoadTrace:
         path.write_text('{"no_ev_key": true}\n')
         with pytest.raises(ValueError, match="not a trace event"):
             load_trace(str(path))
+
+    def test_legacy_gauge_line_still_aggregates(self, tmp_path):
+        # Traces written before the tracer dropped gauges hold "gauge"
+        # events; they load, count as events and leave the tables alone.
+        path = tmp_path / "t.jsonl"
+        legacy = [
+            _span("lp.solve", "lp.solve", 0.5, {"nnz": 120, "status": 0}),
+            {"ev": "gauge", "name": "depth", "value": 4.0, "t": 0.1,
+             "pid": 1},
+            {"ev": "count", "name": "cache.hit", "value": 2, "t": 0.2,
+             "pid": 1},
+        ]
+        path.write_text("".join(json.dumps(ev) + "\n" for ev in legacy))
+        report = aggregate(load_trace(str(path)))
+        assert report.num_events == 3 and report.num_spans == 1
+        assert report.counters == {"cache.hit": 2}
+        assert report.by_path["lp.solve"]["count"] == 1
+        assert "Trace report: 3 events, 1 spans" in report.render()
 
     def test_skips_blank_lines(self, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -1,10 +1,11 @@
-"""Tests for the tracing core: spans, counters, gauges, JSONL sink."""
+"""Tests for the tracing core: spans, counters, JSONL sink."""
 
 import json
 
 import pytest
 
 from repro import obs
+from repro.obs.report import aggregate
 from repro.obs.trace import Tracer
 
 
@@ -50,7 +51,7 @@ class TestSpans:
         for _ in range(3):
             with tracer.span("s"):
                 pass
-        agg = tracer.span_agg["s"]
+        agg = aggregate(tracer.events).by_path["s"]
         assert agg["count"] == 3
         assert agg["total"] >= agg["max"] >= 0.0
 
@@ -62,17 +63,13 @@ class TestSpans:
         assert synth["dur"] == 1.25
 
 
-class TestCountersGauges:
+class TestCounters:
     def test_counters_accumulate(self, tracer):
         tracer.count("hits")
         tracer.count("hits", 4)
         assert tracer.counters["hits"] == 5
         assert [ev["ev"] for ev in tracer.events] == ["count", "count"]
-
-    def test_gauges_track_last_min_max(self, tracer):
-        for v in (3.0, 1.0, 7.0):
-            tracer.gauge("depth", v)
-        assert tracer.gauges["depth"] == {"last": 7.0, "min": 1.0, "max": 7.0}
+        assert aggregate(tracer.events).counters == {"hits": 5}
 
 
 class TestDisabled:
@@ -81,9 +78,10 @@ class TestDisabled:
         with tracer.span("s", a=1) as sp:
             sp.set(b=2)
         tracer.count("c")
-        tracer.gauge("g", 1.0)
         assert tracer.events == []
-        assert tracer.counters == {} and tracer.span_agg == {}
+        assert tracer.counters == {}
+        report = aggregate(tracer.events)
+        assert report.num_events == 0 and report.by_path == {}
 
 
 class TestIngest:
@@ -112,12 +110,16 @@ class TestJsonlSink:
         path = tmp_path / "trace.jsonl"
         tracer = Tracer(trace_path=str(path))
         with tracer.span("outer", k=4):
-            tracer.count("hits", 2)
-            tracer.gauge("depth", 3.5)
+            with tracer.span("inner"):
+                tracer.count("hits", 2)
         tracer.close()
 
         loaded = obs.load_trace(str(path))
         assert loaded == tracer.events
+        from_file, in_memory = aggregate(loaded), aggregate(tracer.events)
+        assert from_file.by_path == in_memory.by_path
+        assert set(from_file.by_path) == {"outer", "outer/inner"}
+        assert from_file.counters == in_memory.counters == {"hits": 2}
         # every line is strict JSON
         for line in path.read_text().splitlines():
             json.loads(line)
@@ -154,7 +156,7 @@ class TestGlobalApi:
     def test_module_level_helpers_delegate(self):
         tracer = obs.configure()
         try:
-            obs.gauge("g", 1.0)
-            assert tracer.gauges["g"]["last"] == 1.0
+            obs.count("c", 3)
+            assert tracer.counters["c"] == 3
         finally:
             obs.configure()

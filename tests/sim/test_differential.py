@@ -12,8 +12,13 @@ rates below and above saturation.
 
 import pytest
 
-from repro.sim import SimulationConfig, simulate, simulate_vectorized
-from repro.sim.vectorized import sweep_vectorized
+from repro import obs
+from repro.sim import (
+    SimulationConfig,
+    replica_grid,
+    simulate,
+    simulate_replicas,
+)
 from tests.sim.conftest import (
     SIM_ALGORITHMS,
     assert_counts_equal,
@@ -35,7 +40,7 @@ def _run_both(alg, traffic, rate, seed, cycles=400, warmup=150, capacity=None):
         queue_capacity=capacity,
     )
     ref = simulate(alg, traffic, config, backend="reference")
-    vec = simulate_vectorized(alg, traffic, config)
+    vec = simulate(alg, traffic, config, backend="vectorized")
     return ref, vec
 
 
@@ -84,8 +89,8 @@ class TestBatchedSweep:
         # run does.
         _, alg, traffic = make_sim_case(4, "IVAL", "uniform")
         rates = [0.1, 0.4, 0.7, 1.0]
-        batched = sweep_vectorized(
-            alg, traffic, rates, cycles=400, warmup=150, seed=11
+        batched = simulate_replicas(
+            alg, traffic, replica_grid(rates, [11]), cycles=400, warmup=150
         )
         for rate, got in zip(rates, batched):
             ref = simulate(
@@ -101,11 +106,43 @@ class TestBatchedSweep:
 
     def test_sweep_order_does_not_matter(self, make_sim_case):
         _, alg, traffic = make_sim_case(3, "RLB", "tornado")
-        fwd = sweep_vectorized(
-            alg, traffic, [0.2, 0.8], cycles=300, warmup=100, seed=5
+        fwd = simulate_replicas(
+            alg, traffic, replica_grid([0.2, 0.8], [5]), cycles=300, warmup=100
         )
-        rev = sweep_vectorized(
-            alg, traffic, [0.8, 0.2], cycles=300, warmup=100, seed=5
+        rev = simulate_replicas(
+            alg, traffic, replica_grid([0.8, 0.2], [5]), cycles=300, warmup=100
         )
         assert fwd[0] == rev[1]
         assert fwd[1] == rev[0]
+
+
+class TestOneLaunchPath:
+    def test_vectorized_run_is_one_batch_with_one_run_child(
+        self, make_sim_case
+    ):
+        # simulate(..., backend="vectorized") is the one-replica case of
+        # simulate_tables: one sim.batch span, one sim.run child whose
+        # attrs are the reference run's plus the backend name.
+        _, alg, traffic = make_sim_case(3, "VAL", "tornado")
+        config = SimulationConfig(
+            cycles=300, warmup=100, injection_rate=0.6, seed=3
+        )
+        tracer = obs.get_tracer()
+
+        def spans(fn):
+            mark = tracer.mark()
+            fn()
+            return [e for e in tracer.events_since(mark) if e["ev"] == "span"]
+
+        ref_spans = spans(
+            lambda: simulate(alg, traffic, config, backend="reference")
+        )
+        vec_spans = spans(
+            lambda: simulate(alg, traffic, config, backend="vectorized")
+        )
+        (ref_run,) = [e for e in ref_spans if e["name"] == "sim.run"]
+        (batch,) = [e for e in vec_spans if e["name"] == "sim.batch"]
+        (vec_run,) = [e for e in vec_spans if e["name"] == "sim.run"]
+        assert batch["attrs"]["replicas"] == 1
+        assert vec_run["path"] == f"{batch['path']}/sim.run"
+        assert vec_run["attrs"] == {**ref_run["attrs"], "backend": "vectorized"}

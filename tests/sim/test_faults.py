@@ -14,8 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import SimulationConfig, simulate, simulate_vectorized
-from repro.traffic import uniform
+from repro.sim import Replica, SimulationConfig, simulate, simulate_replicas
 from tests.sim.conftest import (
     assert_conservation,
     assert_counts_equal,
@@ -76,35 +75,33 @@ class TestLossAccounting:
     def test_late_event_error_identical_across_entry_points(
         self, make_sim_case
     ):
-        # Config construction and the direct vectorized sweep path share
+        # Config construction and the direct replica-batch path share
         # one validator, so the error text is character-identical.
         _, alg, traffic = make_sim_case(3, "DOR")
-        from repro.sim.vectorized import sweep_vectorized
 
         with pytest.raises(ValueError) as via_config:
             _config(fault_schedule=((401, 0),))
-        with pytest.raises(ValueError) as via_sweep:
-            sweep_vectorized(
+        with pytest.raises(ValueError) as via_batch:
+            simulate_replicas(
                 alg,
                 traffic,
-                [0.6],
+                [Replica(0.6, fault_schedule=((401, 0),))],
                 cycles=400,
                 warmup=120,
-                fault_schedule=((401, 0),),
             )
-        assert str(via_config.value) == str(via_sweep.value)
+        assert str(via_config.value) == str(via_batch.value)
 
     def test_no_faults_means_no_losses(self, make_sim_case):
         _, alg, traffic = make_sim_case(4, "VAL")
-        result = simulate_vectorized(alg, traffic, _config())
+        result = simulate(alg, traffic, _config(), backend="vectorized")
         assert result.lost == 0
         assert_conservation(result)
 
     def test_deterministic_under_faults(self, make_sim_case):
         _, alg, traffic = make_sim_case(4, "IVAL")
         config = _config(fault_schedule=((130, 2), (260, 9)))
-        a = simulate_vectorized(alg, traffic, config)
-        b = simulate_vectorized(alg, traffic, config)
+        a = simulate(alg, traffic, config, backend="vectorized")
+        b = simulate(alg, traffic, config, backend="vectorized")
         assert a == b
 
 
@@ -120,7 +117,7 @@ class TestDifferentialUnderFaults:
             fault_schedule=((100, 0), (100, 7), (250, 3)),
         )
         ref = simulate(alg, traffic, config, backend="reference")
-        vec = simulate_vectorized(alg, traffic, config)
+        vec = simulate(alg, traffic, config, backend="vectorized")
         assert ref.lost > 0
         assert_counts_equal(ref, vec)
         assert_latency_close(ref, vec)
@@ -133,7 +130,7 @@ class TestDifferentialUnderFaults:
             fault_schedule=((150, 4), (300, 11)),
         )
         ref = simulate(alg, traffic, config, backend="reference")
-        vec = simulate_vectorized(alg, traffic, config)
+        vec = simulate(alg, traffic, config, backend="vectorized")
         assert ref.dropped > 0 and ref.lost > 0
         assert_counts_equal(ref, vec)
         assert_latency_close(ref, vec)
@@ -142,7 +139,7 @@ class TestDifferentialUnderFaults:
         _, alg, traffic = make_sim_case(3, "DOR")
         config = _config(fault_schedule=((40, 1),))
         ref = simulate(alg, traffic, config, backend="reference")
-        vec = simulate_vectorized(alg, traffic, config)
+        vec = simulate(alg, traffic, config, backend="vectorized")
         assert_counts_equal(ref, vec)
         assert_latency_close(ref, vec)
 
@@ -183,7 +180,7 @@ class TestConservationProperty:
             ),
         )
         ref = simulate(alg, traffic, config, backend="reference")
-        vec = simulate_vectorized(alg, traffic, config)
+        vec = simulate(alg, traffic, config, backend="vectorized")
         assert_conservation(ref)
         assert_conservation(vec)
         assert_counts_equal(ref, vec)

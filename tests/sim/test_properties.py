@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.routing import DimensionOrderRouting
-from repro.sim import SimulationConfig, simulate, simulate_vectorized
+from repro.sim import SimulationConfig, simulate
 from repro.topology import Torus
 from repro.traffic import transpose, uniform
 from tests.sim.conftest import (
@@ -55,8 +55,8 @@ class TestDeterminism:
     def test_same_seed_same_stats_doc(self, k, seed, rate, capacity):
         alg, traffic = _algs[k], uniform(_tori[k].num_nodes)
         config = _config(seed, rate, capacity)
-        first = simulate_vectorized(alg, traffic, config)
-        second = simulate_vectorized(alg, traffic, config)
+        first = simulate(alg, traffic, config, backend="vectorized")
+        second = simulate(alg, traffic, config, backend="vectorized")
         assert_results_identical(first, second)
 
 
@@ -78,8 +78,8 @@ class TestTranslationInvariance:
         perm = torus.add_nodes(nodes, shift % torus.num_nodes)
         traffic = transpose(torus)
         relabeled = relabel_traffic(traffic, perm)
-        a = simulate_vectorized(alg, traffic, _config(seed, 0.3))
-        b = simulate_vectorized(alg, relabeled, _config(seed, 0.3))
+        a = simulate(alg, traffic, _config(seed, 0.3), backend="vectorized")
+        b = simulate(alg, relabeled, _config(seed, 0.3), backend="vectorized")
         assert a.accepted_rate == pytest.approx(b.accepted_rate, abs=0.05)
         assert a.stable and b.stable
 
@@ -90,8 +90,8 @@ class TestTranslationInvariance:
         traffic = uniform(torus.num_nodes)
         perm = torus.add_nodes(np.arange(torus.num_nodes), 5)
         relabeled = relabel_traffic(traffic, perm)
-        a = simulate_vectorized(alg, traffic, _config(7, 0.4))
-        b = simulate_vectorized(alg, relabeled, _config(7, 0.4))
+        a = simulate(alg, traffic, _config(7, 0.4), backend="vectorized")
+        b = simulate(alg, relabeled, _config(7, 0.4), backend="vectorized")
         assert a == b
 
 
@@ -106,7 +106,9 @@ class TestConservation:
     def test_injected_accounted_for(self, k, seed, rate, capacity):
         alg, traffic = _algs[k], uniform(_tori[k].num_nodes)
         config = _config(seed, rate, capacity)
-        assert_conservation(simulate_vectorized(alg, traffic, config))
+        assert_conservation(
+            simulate(alg, traffic, config, backend="vectorized")
+        )
 
     @settings(max_examples=5)
     @given(seed=st.integers(min_value=0, max_value=1000))
@@ -125,8 +127,11 @@ class TestConservation:
         # With injection only during warmup... not expressible directly;
         # instead: a stable low-rate run ends nearly drained, and the
         # identity still splits injected into the three sinks exactly.
-        result = simulate_vectorized(
-            _algs[3], uniform(_tori[3].num_nodes), _config(1, 0.1, cycles=600)
+        result = simulate(
+            _algs[3],
+            uniform(_tori[3].num_nodes),
+            _config(1, 0.1, cycles=600),
+            backend="vectorized",
         )
         assert_conservation(result)
         assert result.delivered >= result.injected - result.backlog

@@ -27,7 +27,7 @@ from repro.sim import (
     simulate_replicas,
     simulate_tables,
 )
-from repro.sim.vectorized import compiled_simulator, simulate_vectorized
+from repro.sim.vectorized import compiled_simulator
 from repro.topology import Torus
 from repro.traffic import tornado, uniform
 from tests.sim.conftest import (
@@ -185,7 +185,9 @@ class TestReplicaProperty:
         ]
         batched = simulate_replicas(alg, traffic, reps, cycles=150, warmup=50)
         for rep, got in zip(reps, batched):
-            solo = simulate_vectorized(alg, traffic, rep.to_config(150, 50))
+            solo = simulate(
+                alg, traffic, rep.to_config(150, 50), backend="vectorized"
+            )
             assert_counts_equal(solo, got)
             assert_latency_close(solo, got)
 

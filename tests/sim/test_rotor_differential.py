@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rotor import ORNRouting, RotorSchedule, VLBOnRotor
-from repro.sim import SimulationConfig, simulate, simulate_vectorized
+from repro.sim import SimulationConfig, simulate
 from repro.traffic import uniform
 from tests.sim.conftest import (
     assert_conservation,
@@ -59,7 +59,7 @@ class TestRotorDifferential:
         alg, traffic, sched = _rotor_case(k, scheme)
         config = _config(rate, link_schedule=sched.link_events(300))
         ref = simulate(alg, traffic, config, backend="reference")
-        vec = simulate_vectorized(alg, traffic, config)
+        vec = simulate(alg, traffic, config, backend="vectorized")
         assert ref.lost == 0  # rotor downs buffer, never destroy
         assert_counts_equal(ref, vec)
         assert_latency_close(ref, vec)
@@ -74,10 +74,10 @@ class TestRotorDifferential:
         assert static.link_events(300) == ()
         config = _config(rate, link_schedule=static.link_events(300))
         ref = simulate(alg, traffic, config, backend="reference")
-        vec = simulate_vectorized(alg, traffic, config)
+        vec = simulate(alg, traffic, config, backend="vectorized")
         assert_counts_equal(ref, vec)
         assert_latency_close(ref, vec)
-        clean = simulate_vectorized(alg, traffic, _config(rate))
+        clean = simulate(alg, traffic, _config(rate), backend="vectorized")
         assert_counts_equal(vec, clean)
 
     def test_rotor_and_faults_compose(self, make_sim_case):
@@ -98,7 +98,7 @@ class TestRotorDifferential:
             fault_schedule=((60, 1),),
         )
         ref = simulate(alg, traffic, config, backend="reference")
-        vec = simulate_vectorized(alg, traffic, config)
+        vec = simulate(alg, traffic, config, backend="vectorized")
         assert ref.lost > 0
         assert_counts_equal(ref, vec)
         assert_latency_close(ref, vec)
@@ -140,7 +140,7 @@ class TestConservationUnderSchedules:
             ),
         )
         ref = simulate(alg, traffic, config, backend="reference")
-        vec = simulate_vectorized(alg, traffic, config)
+        vec = simulate(alg, traffic, config, backend="vectorized")
         assert ref.lost == 0  # no kills in play: downs are lossless
         assert_conservation(ref)
         assert_conservation(vec)
@@ -191,6 +191,6 @@ class TestPeriodShiftInvariance:
                 start=s,
             )
             config = _config(0.7, link_schedule=shifted.link_events(300))
-            results.append(simulate_vectorized(alg, traffic, config))
+            results.append(simulate(alg, traffic, config, backend="vectorized"))
         assert_counts_equal(results[0], results[1])
         assert_latency_close(results[0], results[1])

@@ -21,7 +21,6 @@ from repro.sim import (
     SimulationConfig,
     latency_stats,
     simulate,
-    simulate_vectorized,
 )
 from repro.topology import Torus
 from repro.traffic import tornado, uniform
@@ -84,7 +83,7 @@ class TestZeroDeliveryRuns:
     def test_backends_agree_on_zero_delivery_counts(self):
         alg, traffic = _zero_window_case()
         ref = simulate(alg, traffic, _BUSY_ZERO, backend="reference")
-        vec = simulate_vectorized(alg, traffic, _BUSY_ZERO)
+        vec = simulate(alg, traffic, _BUSY_ZERO, backend="vectorized")
         assert_counts_equal(ref, vec)
 
 
