@@ -10,11 +10,14 @@ must reach identical optima.
 
 Problem sizes grow fast (the paper notes CPLEX topping out at a few
 million nonzeros); keep networks small (N up to a few dozen).  The
-worst-case design additionally supports ``method="colgen"`` — the
-lazy-constraint counterpart of :mod:`repro.core.worst_case`, generating
-the matching-dual block of a channel only once the separation oracle
-proves the channel can carry a worst-case-critical load (see
-:class:`GeneralRestrictedMaster`).
+single-stage worst-case design additionally supports
+``method="colgen"`` — the lazy-constraint counterpart of
+:mod:`repro.core.worst_case`, generating the matching-dual block of a
+channel only once the separation oracle proves the channel can carry a
+worst-case-critical load (see :class:`GeneralRestrictedMaster`).
+``method="auto"`` resolves by the same rule as the torus design
+(:func:`repro.core.worst_case.resolve_design_method`), and the
+lexicographic ``minimize_locality`` design is full-LP only.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from repro import obs
 from repro.constants import (
     COLGEN_GENERAL_VIOLATION_TOL,
     COLGEN_MAX_ITERATIONS,
-    COLGEN_STAGE2_DUST,
     LEXICOGRAPHIC_SLACK,
     SOLVER_DUST,
 )
@@ -239,10 +241,8 @@ def _general_stage_loop(
     solver: str,
     tol: float,
     limit: int,
-    stage: int,
-    cap: float | None = None,
 ):
-    """One lazy-constraint stage on an arbitrary network.
+    """The lazy-constraint loop on an arbitrary network.
 
     Solve the restricted master, separate its exact worst case with
     :func:`repro.metrics.worst_case_eval.separate_general_worst_case`,
@@ -252,53 +252,42 @@ def _general_stage_loop(
     beyond ``tol`` — the master optimum is simultaneously a lower bound
     and achieved by the returned flows: the full LP's optimum.
 
-    Returns ``(flows, load, objective_bound, iterations)``.
+    Returns ``(flows, load, lower_bound, iterations)``.
     """
     from repro.metrics.worst_case_eval import separate_general_worst_case
 
     net = master.network
-    stage2 = cap is not None
     iteration = 0
-    obj_m = np.inf
+    w_m = np.inf
     while iteration < limit:
         iteration += 1
         sol, w_m, _clipped = master.solve(
             solver,
             attrs={
-                "colgen_stage": stage,
+                "colgen_stage": 1,
                 "colgen_iteration": iteration,
                 "rows_generated": len(master.channels)
                 - master.seeded_blocks,
             },
         )
         x_m = np.asarray(sol[master.prob.x])
-        obj_m = float(sol.objective) if stage2 else w_m
         sep = separate_general_worst_case(net, x_m, w_m, tol)
         if sep.satisfied:
-            return x_m, float(sep.max_load), obj_m, iteration
+            return x_m, float(sep.max_load), w_m, iteration
         added = sum(master.add_channel(v.channel) for v in sep.violations)
         if added == 0:
             # Every violated channel already carries its exact block, so
             # its master load cannot exceed b_c * w beyond the solver's
-            # own primal feasibility residual.  In stage 2 that residual
-            # is structural — ``w`` sits at its slack cap while the
-            # objective pulls on locality — so dust-level violations on
-            # covered channels are accepted and the *exact* oracle
-            # measurement is returned (the certificate widens its
-            # lexicographic gap allowance by the same dust).  In stage 1
-            # the bound is the objective itself, so a stall there means
-            # the LP solution is looser than the separation tolerance:
-            # stop loudly rather than loop forever.
-            worst = max(v.violation for v in sep.violations)
-            if stage2 and worst <= COLGEN_STAGE2_DUST * max(1.0, w_m):
-                return x_m, float(sep.max_load), obj_m, iteration
+            # own primal feasibility residual: the LP solution is looser
+            # than the separation tolerance.  Stop loudly rather than
+            # loop forever.
             raise ColGenError(
                 "separation flagged channels whose blocks are already "
                 "in the master (solver tolerance looser than the "
                 "separation tolerance; try solver='highs-ds')",
                 iterations=iteration,
                 rows_generated=len(master.channels) - master.seeded_blocks,
-                bound=obj_m,
+                bound=w_m,
                 flows=x_m,
                 max_violation=max(v.violation for v in sep.violations),
             )
@@ -306,7 +295,7 @@ def _general_stage_loop(
         f"no convergence within {limit} iterations",
         iterations=iteration,
         rows_generated=len(master.channels) - master.seeded_blocks,
-        bound=obj_m,
+        bound=w_m,
         flows=np.zeros((net.num_nodes, net.num_nodes, net.num_channels)),
         max_violation=np.inf,
     )
@@ -315,7 +304,6 @@ def _general_stage_loop(
 def _design_general_colgen(
     network: Network,
     locality_hops: float | None,
-    minimize_locality: bool,
     solver: str | None,
     tol: float,
     max_iterations: int | None,
@@ -338,41 +326,30 @@ def _design_general_colgen(
         channels=int(network.num_channels),
         seeded_blocks=master.seeded_blocks,
     ) as sp:
-        flows, wc_load, lower_bound, iters1 = _general_stage_loop(
-            master, solver, tol, limit, stage=1
+        flows, wc_load, lower_bound, iterations = _general_stage_loop(
+            master, solver, tol, limit
         )
-        iters2 = 0
-        locality_bound = None
-        if minimize_locality:
-            cap = wc_load * (1 + LEXICOGRAPHIC_SLACK) + SOLVER_DUST
-            master.model.set_bounds(master.w, ub=cap)
-            cols, vals = master.prob.locality_terms()
-            master.model.set_objective(cols, vals)
-            flows, wc_load, locality_bound, iters2 = _general_stage_loop(
-                master, solver, tol, limit, stage=2, cap=cap
-            )
         flows = np.clip(flows, 0.0, None)
         wc_load = float(
             separate_general_worst_case(network, flows, np.inf, tol).max_load
         )
         sp.set(
-            iterations=iters1 + iters2,
+            iterations=iterations,
             rows_generated=len(master.channels) - master.seeded_blocks,
             bound=float(wc_load),
         )
     obs.metric_count("colgen.general_solves")
-    obs.metric_count("colgen.iterations", iters1 + iters2)
+    obs.metric_count("colgen.iterations", iterations)
     obs.metric_count(
         "colgen.rows_generated", len(master.channels) - master.seeded_blocks
     )
     stats = ColGenStats(
-        iterations=iters1,
-        stage2_iterations=iters2,
+        iterations=iterations,
+        stage2_iterations=0,
         rows_generated=len(master.channels) - master.seeded_blocks,
         seeded_rows=master.seeded_blocks,
         oracle_load=float(wc_load),
         lower_bound=float(lower_bound),
-        stage2_locality_bound=locality_bound,
     )
     return GeneralDesign(
         flows=flows,
@@ -410,19 +387,21 @@ def design_general_worst_case(
     """Worst-case-optimal design (LP (8)) on an arbitrary network.
 
     ``method`` selects the formulation (``"full"``, ``"colgen"``, or
-    ``"auto"``, mirroring :func:`repro.core.worst_case.design_worst_case`)
+    ``"auto"``, resolved as in :func:`repro.core.worst_case.design_worst_case`;
+    ``"colgen"`` rejects ``minimize_locality``)
     and ``solver`` the HiGHS solver, named as a ``linprog`` method
     (``"highs-ipm"`` by default for both formulations; dual simplex is an
     order of magnitude slower on these CN^2-variable models).  ``colgen_tol`` /
     ``max_iterations`` override the loop's tolerance and iteration-cap
     constants.
     """
-    resolved = resolve_design_method(method, network.num_nodes)
+    resolved = resolve_design_method(
+        method, network.num_nodes, locality_hops, minimize_locality
+    )
     if resolved == "colgen":
         return _design_general_colgen(
             network,
             locality_hops,
-            minimize_locality,
             solver,
             COLGEN_GENERAL_VIOLATION_TOL
             if colgen_tol is None

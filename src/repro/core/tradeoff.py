@@ -131,13 +131,13 @@ def locality_range_at_worst_case(
 def optimal_locality_at_max_worst_case(
     torus: Torus,
     group: TranslationGroup | None = None,
-    method: str = "auto",
     solver: str | None = None,
 ) -> float:
     """Normalized locality of the best worst-case-optimal algorithm —
     the "optimal" series of Figure 4 (about 1.48 for the 8-ary 2-cube,
-    Section 5.2)."""
+    Section 5.2).  A lexicographic design, so it always solves the full
+    LP."""
     design = design_worst_case(
-        torus, minimize_locality=True, group=group, method=method, solver=solver
+        torus, minimize_locality=True, group=group, solver=solver
     )
     return design.avg_path_length / torus.mean_min_distance()

@@ -19,17 +19,19 @@ formulations are implemented behind one entry point:
   the full LP's optimum — see :mod:`repro.verify.colgen` for the
   machine-checked version of that argument.
 
-``method="auto"`` keeps the full formulation up to
+``method="auto"`` picks column generation only for an unpinned,
+single-stage design of at least
 :data:`repro.constants.COLGEN_AUTO_NODE_THRESHOLD` nodes (radix 10 on
-the 2-D torus) and switches to column generation above it, where the
-full LP's :math:`O(N^2)` rows per class stop fitting.
+the 2-D torus), the one case where it beats the full LP on the orbit
+quotient.  Pinned and lexicographic designs solve on the full LP at
+every size.
 
 A second, lexicographic stage recovers maximum locality among the
 worst-case-optimal algorithms — the designs whose existence motivates
-IVAL and 2TURN (Section 5.2).  Stage 2 re-solves the stage-1 model in
-place with ``w`` capped.  Under column generation all generated
-rows carry over and the separation loop keeps running, so the
-lexicographic answer is certified against the full permutation set too.
+IVAL and 2TURN (Section 5.2).  Stage 2 re-solves the stage-1 full model
+in place with ``w`` capped.  Column generation solves one stage only:
+its cutting-plane anchor cannot close a locality objective, so
+``method="colgen"`` with ``minimize_locality=True`` is rejected.
 """
 
 from __future__ import annotations
@@ -74,8 +76,20 @@ DESIGN_METHODS = ("auto", "full", "colgen")
 _SOLVER_NAMES = ("highs", "highs-ds", "highs-ipm")
 
 
-def resolve_design_method(method: str, num_nodes: int) -> str:
-    """Resolve ``"auto"`` to ``"full"`` or ``"colgen"`` by instance size."""
+def resolve_design_method(
+    method: str,
+    num_nodes: int,
+    locality_hops: float | None = None,
+    minimize_locality: bool = False,
+) -> str:
+    """Resolve ``"auto"`` to ``"full"`` or ``"colgen"``.
+
+    ``auto`` picks column generation only for an unpinned
+    (``locality_hops is None``), single-stage design with
+    ``num_nodes >= COLGEN_AUTO_NODE_THRESHOLD``; every pinned or
+    lexicographic design goes to the full LP.  An explicit ``"colgen"``
+    with ``minimize_locality`` raises: column generation has one stage.
+    """
     if method in _SOLVER_NAMES:
         raise ValueError(
             f"method={method!r} is an LP solver name; pass it as solver=... "
@@ -85,9 +99,16 @@ def resolve_design_method(method: str, num_nodes: int) -> str:
         raise ValueError(
             f"unknown design method {method!r}; choose from {DESIGN_METHODS}"
         )
+    if method == "colgen" and minimize_locality:
+        raise ValueError(
+            "method='colgen' solves single-stage designs only; use "
+            "method='full' or 'auto' with minimize_locality=True"
+        )
     if method != "auto":
         return method
-    return "colgen" if int(num_nodes) >= COLGEN_AUTO_NODE_THRESHOLD else "full"
+    single_stage = locality_hops is None and not minimize_locality
+    large = int(num_nodes) >= COLGEN_AUTO_NODE_THRESHOLD
+    return "colgen" if single_stage and large else "full"
 
 
 class ColGenError(RuntimeError):
@@ -134,9 +155,9 @@ class ColGenStats:
     ``rows_generated`` counts the rows added for oracle-separated
     permutations, each with its point-group orbit, and ``seeded_rows``
     the cyclic-shift adversaries; both count rows of the full master,
-    not of its orbit quotient.  ``stage2_locality_bound``
-    is the stage-2 master's locality lower bound when a lexicographic
-    solve ran (``None`` otherwise).
+    not of its orbit quotient.  ``stage2_iterations`` is always 0: the
+    loop has one stage, and the field stays for the cache docs and
+    certificate rechecks of designs that ran a lexicographic stage 2.
     """
 
     iterations: int
@@ -145,8 +166,6 @@ class ColGenStats:
     seeded_rows: int
     oracle_load: float
     lower_bound: float
-    stage2_locality_bound: float | None = None
-    converged: bool = True
 
     def to_doc(self) -> dict:
         return {
@@ -156,12 +175,6 @@ class ColGenStats:
             "seeded_rows": int(self.seeded_rows),
             "oracle_load": float(self.oracle_load),
             "lower_bound": float(self.lower_bound),
-            "stage2_locality_bound": (
-                None
-                if self.stage2_locality_bound is None
-                else float(self.stage2_locality_bound)
-            ),
-            "converged": bool(self.converged),
         }
 
     @classmethod
@@ -173,12 +186,6 @@ class ColGenStats:
             seeded_rows=int(doc["seeded_rows"]),
             oracle_load=float(doc["oracle_load"]),
             lower_bound=float(doc["lower_bound"]),
-            stage2_locality_bound=(
-                None
-                if doc.get("stage2_locality_bound") is None
-                else float(doc["stage2_locality_bound"])
-            ),
-            converged=bool(doc.get("converged", True)),
         )
 
 
@@ -388,62 +395,51 @@ def _stage_loop(
     solver: str,
     tol: float,
     limit: int,
-    stage: int,
     anchor: tuple[np.ndarray, float] | None,
-    cap: float | None = None,
 ):
-    """One stabilized cutting-plane stage (Ben-Ameur/Neto in-out).
+    """The stabilized cutting-plane loop (Ben-Ameur/Neto in-out).
 
-    The master is a relaxation, so its optimum is a valid lower bound
-    on the stage objective (``w`` in stage 1, ``H_avg`` in stage 2).
-    The primal side keeps an *anchor* ``(x̄, w̄)`` — flows paired with
-    their exact oracle-measured worst-case load, hence feasible for the
-    full constraint set by construction.  Each iteration separates the
-    master vertex (a row already in the master cannot be violated
-    there, so progress is guaranteed: either a genuinely new row is
-    added or the vertex is proven feasible) and tries to improve the
-    anchor with the vertex and the vertex/anchor midpoint.  Both are
-    point-symmetric — the master solves on its orbit quotient and the
-    anchor is symmetrized before the loop — which is what averaging
-    over the point group would give (it never increases the worst-case
-    load).  The stage ends when the anchor objective meets the master
-    bound within ``tol`` or the vertex itself passes separation
-    exactly.
+    The master is a relaxation, so its optimum ``w`` is a valid lower
+    bound on the full LP.  The primal side keeps an *anchor*
+    ``(x̄, w̄)`` — flows paired with their exact oracle-measured
+    worst-case load, hence feasible for the full constraint set by
+    construction.  Each iteration separates the master vertex (a row
+    already in the master cannot be violated there, so progress is
+    guaranteed: either a genuinely new row is added or the vertex is
+    proven feasible) and tries to improve the anchor with the vertex and
+    the vertex/anchor midpoint.  Both are point-symmetric — the master
+    solves on its orbit quotient and the anchor is symmetrized before
+    the loop — which is what averaging over the point group would give
+    (it never increases the worst-case load).  The loop ends when the
+    anchor load meets the master bound within ``tol`` or the vertex
+    itself passes separation exactly.
 
-    Returns ``(flows, load, objective_bound, iterations)``.
+    Returns ``(flows, load, lower_bound, iterations)``.
     """
     from repro.metrics.worst_case_eval import separate_worst_case
 
     torus, group = master.torus, master.group
-    n = torus.num_nodes
-    stage2 = cap is not None
-    x_bar: np.ndarray | None = None
-    w_bar = np.inf
-    if anchor is not None:
-        x_bar, w_bar = anchor
+    x_bar, w_bar = anchor if anchor is not None else (None, np.inf)
     iteration = 0
-    obj_m = np.inf
+    w_m = np.inf
     while iteration < limit:
         iteration += 1
         sol, w_m, _clipped = master.solve(
             solver,
             attrs={
-                "colgen_stage": stage,
+                "colgen_stage": 1,
                 "colgen_iteration": iteration,
                 "rows_generated": len(master.rows) - master.seeded_rows,
             },
         )
         x_m = np.asarray(sol[master.prob.x])
-        obj_m = float(sol.objective) if stage2 else w_m
-        if x_bar is not None:
-            obj_bar = float(x_bar.sum() / n) if stage2 else w_bar
-            if obj_bar <= obj_m + tol * max(1.0, abs(obj_m)):
-                return x_bar, w_bar, obj_m, iteration
+        if x_bar is not None and w_bar <= w_m + tol * max(1.0, abs(w_m)):
+            return x_bar, w_bar, w_m, iteration
         # Kelley cut at the master vertex; exact feasibility ends the
-        # stage (the vertex then optimizes the full problem).
+        # loop (the vertex then optimizes the full problem).
         sep_m = separate_worst_case(torus, group, x_m, w_m, tol)
         if sep_m.satisfied:
-            return x_m, float(sep_m.max_load), obj_m, iteration
+            return x_m, float(sep_m.max_load), w_m, iteration
         added = master.add_rows(
             (v.channel, v.permutation) for v in sep_m.violations
         )
@@ -455,21 +451,12 @@ def _stage_loop(
             candidates.append((0.5 * (x_m + x_bar), None))
         for z, sep_z in candidates:
             if sep_z is None:
-                bound_z = cap if stage2 else w_bar
-                sep_z = separate_worst_case(torus, group, z, bound_z, tol)
+                sep_z = separate_worst_case(torus, group, z, w_bar, tol)
                 added += master.add_rows(
                     (v.channel, v.permutation) for v in sep_z.violations
                 )
             load_z = float(sep_z.max_load)
-            if stage2:
-                # Anchor must respect the stage-2 load cap; among the
-                # feasible candidates locality only ever improves
-                # (midpoints average toward the master optimum).
-                feasible = load_z <= cap + tol * max(1.0, cap)
-                better = x_bar is None or z.sum() < x_bar.sum()
-                if feasible and better:
-                    x_bar, w_bar = z, load_z
-            elif x_bar is None or load_z < w_bar:
+            if x_bar is None or load_z < w_bar:
                 x_bar, w_bar = z, load_z
         if added == 0:
             # Cannot happen while the vertex fails separation (its
@@ -481,22 +468,17 @@ def _stage_loop(
                 "(numerical stall; try a tighter LP solver)",
                 iterations=iteration,
                 rows_generated=len(master.rows) - master.seeded_rows,
-                bound=obj_m,
+                bound=w_m,
                 flows=x_bar if x_bar is not None else x_m,
                 max_violation=max(v.violation for v in sep_m.violations),
             )
-    gap = (
-        (float(x_bar.sum() / n) if stage2 else w_bar) - obj_m
-        if x_bar is not None
-        else np.inf
-    )
     raise ColGenError(
         f"no convergence within {limit} iterations",
         iterations=iteration,
         rows_generated=len(master.rows) - master.seeded_rows,
-        bound=obj_m,
+        bound=w_m,
         flows=x_bar if x_bar is not None else np.zeros_like(master.prob.x.indices(), dtype=float),
-        max_violation=float(gap),
+        max_violation=float(w_bar - w_m),
     )
 
 
@@ -505,7 +487,6 @@ def _design_colgen(
     group: TranslationGroup,
     locality_hops: float | None,
     locality_sense: str,
-    minimize_locality: bool,
     solver: str | None,
     tol: float,
     max_iterations: int | None,
@@ -541,45 +522,32 @@ def _design_colgen(
             )
             if anchor is None or load < anchor[1]:
                 anchor = (flows, load)
-        flows, wc_load, lower_bound, iters1 = _stage_loop(
-            master, solver, tol, limit, stage=1, anchor=anchor
+        flows, wc_load, lower_bound, iterations = _stage_loop(
+            master, solver, tol, limit, anchor=anchor
         )
-        iters2 = 0
-        locality_bound = None
-        if minimize_locality:
-            cap = wc_load * (1 + LEXICOGRAPHIC_SLACK) + SOLVER_DUST
-            master.model.set_bounds(master.w, ub=cap)
-            cols, vals = master.prob.locality_terms()
-            master.model.set_objective(cols, vals)
-            flows, wc_load, locality_bound, iters2 = _stage_loop(
-                master, solver, tol, limit, stage=2,
-                anchor=(flows, wc_load), cap=cap,
-            )
         # Return clipped flows with their exact oracle load so the
-        # design is self-consistent (mirrors the full path's Hungarian
-        # re-measurement after its lexicographic stage).
+        # design is self-consistent.
         flows = np.clip(flows, 0.0, None)
         wc_load = float(
             separate_worst_case(torus, group, flows, np.inf, tol).max_load
         )
         sp.set(
-            iterations=iters1 + iters2,
+            iterations=iterations,
             rows_generated=len(master.rows) - master.seeded_rows,
             bound=float(wc_load),
         )
     obs.metric_count("colgen.solves")
-    obs.metric_count("colgen.iterations", iters1 + iters2)
+    obs.metric_count("colgen.iterations", iterations)
     obs.metric_count(
         "colgen.rows_generated", len(master.rows) - master.seeded_rows
     )
     stats = ColGenStats(
-        iterations=iters1,
-        stage2_iterations=iters2,
+        iterations=iterations,
+        stage2_iterations=0,
         rows_generated=len(master.rows) - master.seeded_rows,
         seeded_rows=master.seeded_rows,
         oracle_load=float(wc_load),
         lower_bound=float(lower_bound),
-        stage2_locality_bound=locality_bound,
     )
     return WorstCaseDesign(
         flows=flows,
@@ -616,13 +584,16 @@ def design_worst_case(
     minimize_locality:
         Run a second, lexicographic solve that minimizes ``H_avg``
         subject to the optimal ``w`` — the "optimal locality at maximum
-        worst-case throughput" point of Figures 1 and 4.
+        worst-case throughput" point of Figures 1 and 4.  Full LP only;
+        ``method="colgen"`` rejects it.
     group:
         Reused translation tables (built on demand).
     method:
         ``"full"`` (matching-dual LP), ``"colgen"`` (lazy permutation
-        rows + separation oracle), or ``"auto"`` (full below
-        :data:`repro.constants.COLGEN_AUTO_NODE_THRESHOLD` nodes).
+        rows + separation oracle), or ``"auto"`` (colgen only for an
+        unpinned, single-stage design of at least
+        :data:`repro.constants.COLGEN_AUTO_NODE_THRESHOLD` nodes; see
+        :func:`resolve_design_method`).
         Both formulations reach the same optimum; the differential
         suite pins them to each other at ``1e-9``.
     solver:
@@ -637,16 +608,17 @@ def design_worst_case(
         (:data:`repro.constants.COLGEN_MAX_ITERATIONS`); exceeding it
         raises :class:`ColGenError` carrying the partial design.
     """
+    resolved = resolve_design_method(
+        method, torus.num_nodes, locality_hops, minimize_locality
+    )
     if group is None:
         group = TranslationGroup(torus)
-    resolved = resolve_design_method(method, torus.num_nodes)
     if resolved == "colgen":
         return _design_colgen(
             torus,
             group,
             locality_hops,
             locality_sense,
-            minimize_locality,
             solver,
             COLGEN_VIOLATION_TOL if colgen_tol is None else float(colgen_tol),
             max_iterations,

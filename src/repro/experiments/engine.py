@@ -129,11 +129,12 @@ class DesignTask:
     holds what only one kind needs (:class:`FaultSpec`,
     :class:`RotorSpec`).
 
-    ``method`` picks the worst-case LP formulation (``"auto"`` switches
-    to column generation above the radix threshold).  Only a *resolved*
-    ``"colgen"`` enters the key: ``"full"`` and an ``"auto"`` that
-    resolves to it solve the identical model and share entries, while
-    lazy-row solves, exact only to the separation tolerance, do not.
+    ``method`` picks the LP formulation of a single-stage worst-case
+    design (``wc_point``).  Only an explicit ``"colgen"`` enters the
+    key: ``"full"`` and ``"auto"``, which resolves to the full LP for
+    every pinned design, solve the identical model and share entries,
+    while lazy-row solves, exact only to the separation tolerance, do
+    not.
     """
 
     kind: str
@@ -196,7 +197,7 @@ class TaskKind:
     recheck: Callable
     needs_ratio: bool = False
     needs_sample: bool = False
-    #: takes a worst-case ``method``; a resolved colgen enters the key
+    #: takes a worst-case ``method``; an explicit colgen enters the key
     takes_method: bool = False
     #: the spec class its tasks carry (``None``: no spec)
     spec: type | None = None
@@ -212,8 +213,8 @@ class TaskKind:
             resolve_design_method(task.method, task.k**task.n)  # validates
         elif task.method != "auto":
             raise ValueError(
-                f"method={task.method!r} applies to worst-case designs, "
-                f"not {task.kind!r}"
+                f"method={task.method!r} applies to single-stage "
+                f"worst-case designs, not {task.kind!r}"
             )
         if not isinstance(task.spec, self.spec or type(None)):
             raise ValueError(
@@ -223,11 +224,8 @@ class TaskKind:
 
     def key_fields(self, task: DesignTask) -> dict:
         """Cache-key fields beyond the ones every task has."""
-        from repro.core.worst_case import resolve_design_method
-
         fields = {}
-        n = task.k**task.n
-        if self.takes_method and resolve_design_method(task.method, n) == "colgen":
+        if self.takes_method and task.method == "colgen":
             fields["method"] = "colgen"
         if task.spec is not None:
             fields.update(task.spec.key_fields(int(task.k)))
@@ -424,9 +422,7 @@ def _wc_point(task, torus, group):
 def _wc_opt(task, torus, group):
     from repro.core.worst_case import design_worst_case
 
-    design = design_worst_case(
-        torus, minimize_locality=True, group=group, method=task.method
-    )
+    design = design_worst_case(torus, minimize_locality=True, group=group)
     return design, design.worst_case_load
 
 
@@ -491,7 +487,6 @@ def _colgen_doc(torus, group, design) -> dict:
         design.worst_case_load,
         lower_bound=design.colgen.lower_bound,
         group=group,
-        lexicographic=design.colgen.stage2_iterations > 0,
     )
     if not report.passed:
         raise CertificationError(
@@ -520,7 +515,7 @@ KINDS: dict[str, TaskKind] = {
     "wc_point": TaskKind(
         _lp_design(_wc_point), _REMEASURED, needs_ratio=True, takes_method=True
     ),
-    "wc_opt": TaskKind(_lp_design(_wc_opt), _REMEASURED, takes_method=True),
+    "wc_opt": TaskKind(_lp_design(_wc_opt), _REMEASURED),
     "avg_point": TaskKind(
         _lp_design(_avg_point), _NOT_REMEASURED, needs_ratio=True, needs_sample=True
     ),

@@ -84,7 +84,8 @@ def _duality_gap_check(
             tol=float(tol),
             detail="no master lower bound recorded",
         )
-    # A lexicographic stage 2 is *allowed* to trade the worst case up by
+    # A lexicographic stage 2 (cached docs from before column generation
+    # became single-stage) was *allowed* to trade the worst case up by
     # LEXICOGRAPHIC_SLACK (the stage-1 optimum is pinned only to that
     # relative cap) plus the solver's residual on the blocks binding at
     # the cap (COLGEN_STAGE2_DUST), so the certified gap widens by
@@ -143,9 +144,10 @@ def certify_colgen_design(
     optimum (:attr:`repro.core.worst_case.ColGenStats.lower_bound`).
     ``tol`` defaults to :data:`repro.constants.COLGEN_VIOLATION_TOL`,
     the loop's own convergence tolerance.  Pass ``lexicographic=True``
-    for designs whose stage 2 minimized locality under a slack-relaxed
-    worst-case cap (``ColGenStats.stage2_iterations > 0``): their gap
-    check widens by :data:`repro.constants.LEXICOGRAPHIC_SLACK`.
+    when rechecking an older cached design whose stage 2 minimized
+    locality under a slack-relaxed worst-case cap
+    (``stage2_iterations > 0``; column generation now runs one stage):
+    its gap check widens by :data:`repro.constants.LEXICOGRAPHIC_SLACK`.
     """
     tol = COLGEN_VIOLATION_TOL if tol is None else float(tol)
     bound = float(bound)
@@ -201,7 +203,6 @@ def certify_colgen_general(
     samples: int = CERTIFY_SAMPLES,
     seed: int = 0,
     exhaustive_limit: int = EXHAUSTIVE_NODE_LIMIT,
-    lexicographic: bool = False,
     subject: str = "colgen-general",
 ) -> VerificationReport:
     """Certify a general-topology column-generation design.
@@ -220,7 +221,7 @@ def certify_colgen_general(
         sep = separate_general_worst_case(network, flows, np.inf, tol)
         checks = [
             _oracle_check(float(sep.max_load), bound, tol),
-            _duality_gap_check(bound, lower_bound, tol, lexicographic),
+            _duality_gap_check(bound, lower_bound, tol, lexicographic=False),
         ]
 
         rng = np.random.default_rng(seed)

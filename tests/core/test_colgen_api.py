@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.constants import COLGEN_AUTO_NODE_THRESHOLD, COLGEN_GENERAL_VIOLATION_TOL
+from repro.core import general, worst_case
 from repro.core.general import (
     ColGenError as GeneralColGenError,
 )
@@ -47,6 +48,57 @@ class TestResolveDesignMethod:
         with pytest.raises(ValueError, match="unknown design method"):
             resolve_design_method("lazy", 16)
 
+    @pytest.mark.parametrize(
+        "design", [design_worst_case, design_general_worst_case]
+    )
+    def test_explicit_colgen_rejects_lexicographic(self, design):
+        with pytest.raises(ValueError, match="single-stage"):
+            design(Torus(3, 2), minimize_locality=True, method="colgen")
+
+
+class _Resolved(Exception):
+    """Stops a design right after dispatch, before any model is built."""
+
+
+# The general formulation pins locality by equality only.
+_PINS = {
+    "unpinned": {},
+    "le-pinned": {"locality_hops": 3.0, "locality_sense": "<="},
+    "eq-pinned": {"locality_hops": 3.0, "locality_sense": "=="},
+    "lexicographic": {"minimize_locality": True},
+}
+
+
+@pytest.mark.parametrize(
+    "formulation, pin",
+    [
+        (f, p)
+        for f in ("torus", "general")
+        for p in _PINS
+        if not (f == "general" and p == "le-pinned")
+    ],
+)
+@pytest.mark.parametrize("k", [3, 10])
+def test_auto_dispatch(monkeypatch, formulation, pin, k):
+    # auto picks colgen only for an unpinned single-stage design at
+    # N >= COLGEN_AUTO_NODE_THRESHOLD (k=10: N=100), for both formulations.
+    resolve, seen = worst_case.resolve_design_method, []
+
+    def spy(*args, **kwargs):
+        seen.append(resolve(*args, **kwargs))
+        raise _Resolved
+
+    monkeypatch.setattr(worst_case, "resolve_design_method", spy)
+    monkeypatch.setattr(general, "resolve_design_method", spy)
+    kwargs = dict(_PINS[pin])
+    if formulation == "general":
+        kwargs.pop("locality_sense", None)
+    design = design_worst_case if formulation == "torus" else design_general_worst_case
+    with pytest.raises(_Resolved):
+        design(Torus(k, 2), method="auto", **kwargs)
+    large = k**2 >= COLGEN_AUTO_NODE_THRESHOLD
+    assert seen == ["colgen" if large and pin == "unpinned" else "full"]
+
 
 class TestColGenStatsDoc:
     def test_roundtrip(self):
@@ -57,7 +109,6 @@ class TestColGenStatsDoc:
             seeded_rows=32,
             oracle_load=1.5,
             lower_bound=1.4999999,
-            stage2_locality_bound=2.25,
         )
         assert ColGenStats.from_doc(stats.to_doc()) == stats
 
@@ -71,9 +122,20 @@ class TestColGenStatsDoc:
             lower_bound=2.0,
         )
         doc = stats.to_doc()
-        assert doc["stage2_locality_bound"] is None
+        assert "stage2_locality_bound" not in doc and "converged" not in doc
         assert ColGenStats.from_doc(doc) == stats
-        assert ColGenStats.from_doc(doc).converged
+
+    def test_older_doc_with_stage2_fields_loads(self):
+        stats = ColGenStats(
+            iterations=3,
+            stage2_iterations=1,
+            rows_generated=7,
+            seeded_rows=32,
+            oracle_load=1.5,
+            lower_bound=1.4999999,
+        )
+        doc = dict(stats.to_doc(), stage2_locality_bound=2.25, converged=True)
+        assert ColGenStats.from_doc(doc) == stats
 
 
 class TestDesignEdges:
@@ -135,7 +197,6 @@ class TestGeneralLazyLoop:
             "highs-ipm",
             COLGEN_GENERAL_VIOLATION_TOL,
             limit=50,
-            stage=1,
         )
         assert iters > 1 and len(master.channels) > 0
         assert master.seeded_blocks == 0
@@ -154,22 +215,7 @@ class TestGeneralLazyLoop:
                 "highs-ipm",
                 COLGEN_GENERAL_VIOLATION_TOL,
                 limit=1,
-                stage=1,
             )
-
-    def test_general_lexicographic_colgen_matches_full(self):
-        torus = Torus(3, 2)
-        full = design_general_worst_case(torus, minimize_locality=True)
-        colgen = design_general_worst_case(
-            torus, minimize_locality=True, method="colgen"
-        )
-        assert colgen.objective_load == pytest.approx(
-            full.objective_load, rel=1e-5
-        )
-        assert colgen.avg_path_length == pytest.approx(
-            full.avg_path_length, rel=1e-4
-        )
-        assert colgen.colgen.stage2_iterations >= 1
 
     def test_seed_covers_loaded_channels(self):
         master = GeneralRestrictedMaster(Torus(3, 2))

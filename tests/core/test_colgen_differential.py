@@ -72,31 +72,6 @@ def test_colgen_certificate_passes(k, n, bandwidths):
     assert report.passed, report.render()
 
 
-def test_colgen_matches_full_lexicographic():
-    # Stage 2 (minimize locality under the stage-1 cap) relaxes the
-    # worst case by LEXICOGRAPHIC_SLACK, so the two formulations agree
-    # only to that slack — still far tighter than any published figure.
-    torus = Torus(4, 2)
-    full = design_worst_case(torus, minimize_locality=True)
-    colgen = design_worst_case(
-        torus, minimize_locality=True, method="colgen"
-    )
-    assert colgen.worst_case_load == pytest.approx(
-        full.worst_case_load, rel=1e-6
-    )
-    assert colgen.avg_path_length == pytest.approx(
-        full.avg_path_length, rel=1e-6
-    )
-    report = certify_colgen_design(
-        torus,
-        colgen.flows,
-        colgen.worst_case_load,
-        lower_bound=colgen.colgen.lower_bound,
-        lexicographic=colgen.colgen.stage2_iterations > 0,
-    )
-    assert report.passed, report.render()
-
-
 def test_general_colgen_matches_symmetric_full():
     # Cross-formulation differential: the general lazy-block solver on
     # a torus must reproduce the symmetric dense formulation's optimum.

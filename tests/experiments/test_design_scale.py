@@ -68,44 +68,55 @@ class TestDesignScaleRun:
         assert "Theta_wc" in text
 
 
+#: The explicitly-colgen engine task these suites run: a pinned,
+#: single-stage point (wc_opt is lexicographic and full-LP only).
+POINT = dict(kind="wc_point", k=3, ratio=1.25, sense="<=")
+
+
 class TestEngineMethodField:
     def test_default_method_keeps_legacy_cache_key(self):
-        legacy = DesignTask(kind="wc_opt", k=3)
-        explicit = DesignTask(kind="wc_opt", k=3, method="full")
-        auto_small = DesignTask(kind="wc_opt", k=3, method="auto")
+        legacy = DesignTask(**POINT)
+        explicit = DesignTask(**POINT, method="full")
+        auto_small = DesignTask(**POINT, method="auto")
         assert cache_key(legacy.cache_payload()) == cache_key(explicit.cache_payload())
         assert cache_key(legacy.cache_payload()) == cache_key(auto_small.cache_payload())
         assert "method" not in legacy.cache_payload()
 
     def test_colgen_gets_distinct_key(self):
-        full = DesignTask(kind="wc_opt", k=3)
-        colgen = DesignTask(kind="wc_opt", k=3, method="colgen")
+        full = DesignTask(**POINT)
+        colgen = DesignTask(**POINT, method="colgen")
         assert cache_key(full.cache_payload()) != cache_key(colgen.cache_payload())
         assert colgen.cache_payload()["method"] == "colgen"
 
-    def test_auto_above_threshold_matches_explicit_colgen(self):
-        # 100 nodes is the auto threshold: k=10 resolves to colgen.
-        auto = DesignTask(kind="wc_opt", k=10, method="auto")
-        colgen = DesignTask(kind="wc_opt", k=10, method="colgen")
-        assert cache_key(auto.cache_payload()) == cache_key(colgen.cache_payload())
+    @pytest.mark.parametrize("kind, ratio", [("wc_point", 1.25), ("wc_opt", None)])
+    def test_auto_above_threshold_keeps_full_key(self, kind, ratio):
+        # 100 nodes is the auto threshold, but pinned and lexicographic
+        # designs resolve to the full LP at every size.
+        auto = DesignTask(kind=kind, k=10, ratio=ratio, method="auto")
+        assert "method" not in auto.cache_payload()
+        if kind == "wc_point":
+            full = DesignTask(kind=kind, k=10, ratio=ratio, method="full")
+            assert cache_key(auto.cache_payload()) == cache_key(full.cache_payload())
 
     def test_bogus_method_rejected(self):
         with pytest.raises(ValueError):
-            DesignTask(kind="wc_opt", k=3, method="bogus")
+            DesignTask(**POINT, method="bogus")
 
     def test_non_worst_case_kinds_reject_method(self):
         with pytest.raises(ValueError):
             DesignTask(kind="twoturn", k=3, method="colgen")
 
+    def test_wc_opt_rejects_method(self):
+        with pytest.raises(ValueError, match="single-stage worst-case designs"):
+            DesignTask(kind="wc_opt", k=3, method="colgen")
+
 
 class TestEngineColgenCertificates:
-    def test_wc_opt_colgen_solves_and_certifies(self, tmp_path):
+    def test_wc_point_colgen_solves_and_certifies(self, tmp_path):
         engine = Engine(jobs=1, cache=DesignCache(tmp_path))
-        task = DesignTask(kind="wc_opt", k=3, method="colgen")
+        task = DesignTask(**POINT, method="colgen")
         res = engine.run_one(task)
-        full = Engine(jobs=1, cache=None).run_one(
-            DesignTask(kind="wc_opt", k=3)
-        )
+        full = Engine(jobs=1, cache=None).run_one(DesignTask(**POINT))
         assert res.load == pytest.approx(full.load, rel=1e-6)
         assert res.doc["method"] == "colgen"
         cert = res.doc["colgen_certificate"]
@@ -119,7 +130,7 @@ class TestEngineColgenCertificates:
 
     def test_cached_colgen_doc_rechecks(self, tmp_path):
         cache = DesignCache(tmp_path)
-        task = DesignTask(kind="wc_opt", k=3, method="colgen")
+        task = DesignTask(**POINT, method="colgen")
         Engine(jobs=1, cache=cache).run_one(task)
         doc = cache.get(cache_key(task.cache_payload()))
         report = recheck_cached_doc(doc)
@@ -129,7 +140,7 @@ class TestEngineColgenCertificates:
 
     def test_corrupted_cached_bound_fails_recheck(self, tmp_path):
         cache = DesignCache(tmp_path)
-        task = DesignTask(kind="wc_opt", k=3, method="colgen")
+        task = DesignTask(**POINT, method="colgen")
         Engine(jobs=1, cache=cache).run_one(task)
         doc = json.loads(json.dumps(cache.get(cache_key(task.cache_payload()))))
         doc["colgen"]["lower_bound"] *= 0.9

@@ -278,9 +278,9 @@ class TestCacheKeyPins:
                  "sense": "==", "method": "colgen"},
             ),
             (
-                DesignTask(kind="wc_point", k=10, ratio=1.0),  # auto -> colgen
+                DesignTask(kind="wc_point", k=10, ratio=1.0),  # pinned: auto -> full
                 {"kind": "wc_point", "k": 10, "n": 2, "ratio": 1.0,
-                 "sense": "<=", "method": "colgen"},
+                 "sense": "<="},
             ),
             (
                 DesignTask(kind="wc_opt", k=3, n=3, bandwidths=(1.0, 1.0, 0.5)),
